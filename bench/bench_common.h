@@ -5,11 +5,14 @@
 
 #include <array>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/preimpl.h"
+#include "flow/service.h"
+#include "flow/store.h"
 #include "sim/compiled.h"
 #include "sim/simulator.h"
 #include "util/json.h"
@@ -23,9 +26,8 @@ struct NetworkRun {
   CnnModel model;
   ModelImpl impl;
   std::vector<std::vector<int>> groups;
-  CheckpointDb db;
-  DbBuildReport db_build;  // parallel pre-implementation wall/CPU times
-  double function_opt_wall = 0.0;
+  std::unique_ptr<CheckpointStore> store;  // the model's components
+  double function_opt_wall = 0.0;          // component builds, wall time
 
   ComposedDesign composed;
   PreImplReport pre;
@@ -34,20 +36,21 @@ struct NetworkRun {
   NetlistStats flat_stats;
 };
 
-/// Builds the database (components pre-implemented in parallel on `pool`,
-/// the global pool when null) and runs both flows for a model.
+/// Compiles a model through the CompileService on a fresh store
+/// (components pre-implemented in parallel on the global pool) and runs
+/// the classic flow on its flat netlist.
 inline NetworkRun run_network(const Device& device, CnnModel model, long dsp_budget,
-                              int max_tile = 28, ThreadPool* pool = nullptr) {
+                              int max_tile = 28) {
   NetworkRun run;
   run.model = std::move(model);
   run.impl = choose_implementation(run.model, dsp_budget, max_tile);
   run.groups = default_grouping(run.model);
 
-  prepare_component_db(device, run.model, run.impl, run.groups, run.db, {}, 1000, pool,
-                       &run.db_build);
-  run.function_opt_wall = run.db_build.wall_seconds;
-
-  run.pre = run_preimpl_cnn(device, run.model, run.impl, run.groups, run.db, run.composed);
+  run.store = std::make_unique<CheckpointStore>(StoreOptions{});
+  auto session = CompileService(device, *run.store).compile(run.model, run.impl, run.groups);
+  run.function_opt_wall = session.ensure_seconds;
+  run.pre = std::move(session.report);
+  run.composed = std::move(session.design);
 
   Netlist flat = build_flat_netlist(run.model, run.impl, run.groups);
   run.flat_stats = flat.stats();
@@ -169,7 +172,7 @@ inline SimThroughput measure_sim_throughput(const Netlist& netlist,
   if (r.interp_seconds > 0.0) r.interp_cps = cycles / r.interp_seconds;
   if (r.compiled_seconds > 0.0) {
     r.compiled_lane_cps =
-        static_cast<double>(cycles) * CompiledSim::kLanes / r.compiled_seconds;
+        static_cast<double>(cycles) * SimContext::kLanes / r.compiled_seconds;
   }
   if (r.interp_cps > 0.0) r.speedup = r.compiled_lane_cps / r.interp_cps;
   return r;
@@ -209,7 +212,7 @@ inline void emit_sim_throughput(JsonWriter& json, const SimThroughput& r) {
   json.key("comb_ops").value(r.comb_ops);
   json.key("seq_ops").value(r.seq_ops);
   json.key("state_words").value(r.state_words);
-  json.key("lanes").value(CompiledSim::kLanes);
+  json.key("lanes").value(SimContext::kLanes);
   json.key("compile_seconds").value(r.compile_seconds);
   json.key("interpreter_seconds").value(r.interp_seconds);
   json.key("compiled_seconds").value(r.compiled_seconds);

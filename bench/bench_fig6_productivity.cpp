@@ -19,9 +19,9 @@ namespace {
 /// in-place inside the flow and keeps only the report).
 ComposedDesign compose_and_place(const Device& device, const NetworkRun& run) {
   Composer composer("route_bench");
-  std::vector<const Checkpoint*> chain;
+  std::vector<std::shared_ptr<const Checkpoint>> chain;
   for (const auto& group : run.groups) {
-    chain.push_back(run.db.get(group_signature(run.model, run.impl, group)));
+    chain.push_back(run.store->get(group_signature(run.model, run.impl, group), device));
   }
   for (std::size_t i = 0; i < chain.size(); ++i) {
     composer.add_instance(*chain[i], "inst" + std::to_string(i), i);
@@ -200,27 +200,25 @@ int main(int argc, char** argv) {
   }
 
   // The offline stage itself is embarrassingly parallel (the components are
-  // independent): re-build each database serially and on 4 workers and
-  // report wall vs CPU seconds. The checkpoints are bit-identical either
-  // way; only the wall clock moves.
+  // independent): re-build each model's components on a fresh store with a
+  // 1- and a 4-wide build pool and report the wall seconds. The checkpoints
+  // are bit-identical either way; only the wall clock moves.
   Table par("offline function optimization: serial vs parallel pre-implementation");
   par.set_header({"network", "components", "1-thread wall (s)", "4-thread wall (s)",
-                  "speedup", "4-thread cpu (s)"});
+                  "speedup"});
   ThreadPool serial_pool(1), wide_pool(4);
   auto par_row = [&](const std::string& name, const NetworkRun& run) {
-    CheckpointDb serial_db, wide_db;
-    DbBuildReport serial_report, wide_report;
-    prepare_component_db(device, run.model, run.impl, run.groups, serial_db, {}, 1000,
-                         &serial_pool, &serial_report);
-    prepare_component_db(device, run.model, run.impl, run.groups, wide_db, {}, 1000,
-                         &wide_pool, &wide_report);
-    par.add_row({name, std::to_string(serial_report.implemented),
-                 Table::fmt(serial_report.wall_seconds, 2),
-                 Table::fmt(wide_report.wall_seconds, 2),
-                 Table::fmt(serial_report.wall_seconds /
-                                std::max(1e-9, wide_report.wall_seconds),
-                            2) + "x",
-                 Table::fmt(wide_report.cpu_seconds, 2)});
+    const auto build = [&](ThreadPool& pool) {
+      CheckpointStore store(StoreOptions{});
+      return CompileService(device, store, {.pool = &pool})
+          .compile(run.model, run.impl, run.groups);
+    };
+    const auto serial = build(serial_pool);
+    const auto wide = build(wide_pool);
+    par.add_row({name, std::to_string(serial.built), Table::fmt(serial.ensure_seconds, 2),
+                 Table::fmt(wide.ensure_seconds, 2),
+                 Table::fmt(serial.ensure_seconds / std::max(1e-9, wide.ensure_seconds), 2) +
+                     "x"});
   };
   par_row("LeNet", lenet);
   if (!quick) par_row("VGG-16", vgg);

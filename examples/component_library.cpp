@@ -1,12 +1,18 @@
 // Component library curation: pre-implements a small catalog of reusable
-// CNN components (the paper's "database of pre-built checkpoints"), saves
-// it to disk as .fdcp files, reloads it and prints the catalog with the
-// achieved QoR — the reuse story of Sec. IV-A.
+// CNN components (the paper's "database of pre-built checkpoints") into an
+// on-disk checkpoint store, reopens the store as a restarted process would
+// and prints the catalog with the achieved QoR — the reuse story of
+// Sec. IV-A. Entries are content-addressed (<dir>/<hash>.fdcp plus an
+// index file), and each build seed derives from the entry's content hash.
+//
+// Usage: component_library [store_dir]
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
-#include "flow/checkpoint_db.h"
 #include "flow/ooc.h"
+#include "flow/service.h"
+#include "flow/store.h"
 #include "synth/kernels.h"
 #include "synth/layers.h"
 #include "util/table.h"
@@ -58,33 +64,38 @@ int main(int argc, char** argv) {
                        make_kernel_component(app, to_string(app))});
   }
 
-  // Function-optimize everything in parallel and fill the database.
-  CheckpointDb db;
-  std::mutex db_mutex;
+  // Function-optimize everything missing from the store, in parallel.
+  CheckpointStore store(StoreOptions{.dir = dir});
+  const std::string fabric = fabric_signature(device);
   parallel_for(0, catalog.size(), [&](std::size_t i) {
+    if (store.contains(catalog[i].key, device)) return;
     OocOptions opt;
-    opt.seed = 11 + i;
+    opt.seed = CompileService::component_seed(
+        opt, CheckpointStore::content_hash(catalog[i].key, fabric));
     OocResult result = implement_ooc(device, std::move(catalog[i].netlist), opt);
-    std::lock_guard<std::mutex> lock(db_mutex);
-    db.put(catalog[i].key, std::move(result.checkpoint));
+    store.put(catalog[i].key, device, std::move(result.checkpoint));
   });
 
-  db.save_dir(dir);
-  CheckpointDb reloaded;
-  const std::size_t loaded = reloaded.load_dir(dir);
-  std::printf("saved %zu checkpoints to %s, reloaded %zu\n", db.size(), dir.c_str(), loaded);
-
-  Table table("component database catalog");
+  // A restart: a fresh store over the same directory replays the index and
+  // loads (and DRC-gates) every entry from disk.
+  CheckpointStore reloaded(StoreOptions{.dir = dir});
+  auto entries = reloaded.index_entries();
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.key < b.key; });
+  Table table("component store catalog");
   table.set_header({"component", "Fmax (MHz)", "pblock", "LUT", "DSP", "BRAM", "impl (s)"});
-  for (const std::string& key : reloaded.keys()) {
-    const Checkpoint* cp = reloaded.get(key);
+  double implement_seconds = 0.0;
+  for (const CheckpointStore::IndexEntry& entry : entries) {
+    const auto cp = reloaded.get(entry.key, device);
     const ResourceVec res = cp->netlist.stats().resources;
-    table.add_row({key, Table::fmt(cp->meta.fmax_mhz, 1), cp->pblock.to_string(),
+    table.add_row({entry.key, Table::fmt(cp->meta.fmax_mhz, 1), cp->pblock.to_string(),
                    std::to_string(res.lut), std::to_string(res.dsp),
                    std::to_string(res.bram), Table::fmt(cp->meta.implement_seconds, 2)});
+    implement_seconds += cp->meta.implement_seconds;
   }
+  std::printf("saved %zu checkpoints to %s, reloaded %llu\n", store.stats().entries,
+              dir.c_str(), static_cast<unsigned long long>(reloaded.stats().disk_loads));
   table.print();
-  std::printf("total offline function-optimization time: %.2fs\n",
-              reloaded.total_implement_seconds());
+  std::printf("total offline function-optimization time: %.2fs\n", implement_seconds);
   return 0;
 }

@@ -1,13 +1,14 @@
 // LeNet-5 accelerator (paper Sec. V-B1): weights hard-coded in ROM, six
 // pre-implemented components (conv1, pool1+relu, conv2, pool2+relu, fc1,
-// fc2). Builds the checkpoint database, runs both flows, prints the
-// per-component performance exploration and runs a digit image through
-// the composed accelerator.
+// fc2). Builds the components into the checkpoint store, runs both flows,
+// prints the per-component performance exploration and runs a digit image
+// through the composed accelerator.
 #include <cstdio>
 
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/preimpl.h"
+#include "flow/service.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -22,11 +23,11 @@ int main(int argc, char** argv) {
   const ModelImpl impl = choose_implementation(model, /*dsp_budget=*/144);
   const auto groups = default_grouping(model);
 
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
-
-  ComposedDesign accelerator;
-  const PreImplReport pre = run_preimpl_cnn(device, model, impl, groups, db, accelerator);
+  CheckpointStore store(StoreOptions{});
+  CompileService service(device, store);
+  const CompileService::SessionResult session = service.compile(model, impl, groups);
+  const PreImplReport& pre = session.report;
+  const ComposedDesign& accelerator = session.design;
 
   Netlist flat = build_flat_netlist(model, impl, groups);
   PhysState flat_phys;
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
   double slowest = 0.0;
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const std::string key = group_signature(model, impl, groups[g]);
-    const Checkpoint* cp = db.get(key);
+    const auto cp = store.get(key, device);
     const ComponentLatency lat = group_latency(model, impl, groups[g], cp->meta.fmax_mhz);
     perf.add_row({cp->netlist.name(), Table::fmt(cp->meta.fmax_mhz, 1),
                   std::to_string(lat.cycles), Table::fmt(lat.latency_us(), 2)});

@@ -6,6 +6,7 @@
 
 #include "flow/build.h"
 #include "flow/preimpl.h"
+#include "flow/service.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -28,16 +29,17 @@ conv c2 out=2 k=3
   const ModelImpl impl = choose_implementation(model, /*dsp_budget=*/16);
   const auto groups = default_grouping(model);
 
-  // 3. Function optimization: pre-implement each component OOC once.
-  CheckpointDb db;
-  const std::size_t built = prepare_component_db(device, model, impl, groups, db);
-  std::printf("function optimization: %zu components built, %.2fs total\n", built,
-              db.total_implement_seconds());
-
-  // 4. Architecture optimization: match, stitch, relocate, route.
-  ComposedDesign accelerator;
-  const PreImplReport report =
-      run_preimpl_cnn(device, model, impl, groups, db, accelerator);
+  // 3. Function optimization: pre-implement each component OOC once into
+  //    the checkpoint store, then
+  // 4. architecture optimization: match, stitch, relocate, route — both in
+  //    one compile session.
+  CheckpointStore store(StoreOptions{});
+  CompileService service(device, store);
+  const CompileService::SessionResult session = service.compile(model, impl, groups);
+  const PreImplReport& report = session.report;
+  const ComposedDesign& accelerator = session.design;
+  std::printf("function optimization: %zu components built, %.2fs total\n", session.built,
+              report.function_opt_seconds);
 
   Table table("quickstart accelerator");
   table.set_header({"metric", "value"});

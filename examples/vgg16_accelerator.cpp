@@ -9,6 +9,7 @@
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/preimpl.h"
+#include "flow/service.h"
 #include "util/table.h"
 
 using namespace fpgasim;
@@ -57,13 +58,12 @@ int main(int argc, char** argv) {
               ddr.block_count(), ddr.largest_free_block() / 1048576.0);
 
   // Flows.
-  CheckpointDb db;
-  const std::size_t built = prepare_component_db(device, model, impl, groups, db);
-  std::printf("function optimization: %zu unique components (of %zu groups), %.1fs\n",
-              built, groups.size(), db.total_implement_seconds());
-
-  ComposedDesign accelerator;
-  const PreImplReport pre = run_preimpl_cnn(device, model, impl, groups, db, accelerator);
+  CheckpointStore store(StoreOptions{});
+  CompileService service(device, store);
+  const CompileService::SessionResult session = service.compile(model, impl, groups);
+  const PreImplReport& pre = session.report;
+  std::printf("function optimization: %zu unique components (of %zu groups), %.1fs wall\n",
+              session.built, groups.size(), session.ensure_seconds);
 
   Netlist flat = build_flat_netlist(model, impl, groups);
   PhysState flat_phys;

@@ -1,8 +1,8 @@
 // Model zoo: one registry of every built-in CNN topology plus the tool
 // dispatch configuration (DSP budget, tile cap) each one is evaluated
-// with. The CLIs (fpgalint, simdiff, fpgadb), the benches and the
-// examples all resolve `--model <name>` through this table, so a new
-// topology added here is immediately reachable everywhere.
+// with. The `fpga` CLI subcommands and the benches all resolve
+// `--model <name>` through this table, so a new topology added here is
+// immediately reachable everywhere.
 #pragma once
 
 #include <string>

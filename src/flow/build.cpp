@@ -1,15 +1,11 @@
 #include "flow/build.h"
 
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
 #include "cnn/registry.h"
-#include "drc/drc.h"
 #include "flow/compose.h"
 #include "synth/layers.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace fpgasim {
 namespace {
@@ -156,9 +152,8 @@ std::vector<ComponentRequest> component_requests(const CnnModel& model,
     if (queued(key)) continue;
     requests.push_back(ComponentRequest{std::move(key), &group, 0});
   }
-  // Branching models additionally need the stream forks of the group DAG;
-  // they are appended after the group keys so chain databases keep their
-  // historical build order (and bytes) exactly.
+  // Branching models additionally need the stream forks of the group DAG,
+  // appended after the group keys.
   if (model_branches(model)) {
     const GroupGraph graph = build_group_graph(model, groups);
     for (int fanout : graph.fanout) {
@@ -182,48 +177,6 @@ Netlist build_component_netlist(const CnnModel& model, const ModelImpl& impl,
                                 "' has neither a group nor fork branches");
   }
   return build_group_netlist(model, impl, *request.group, seed_base);
-}
-
-std::size_t prepare_component_db(const Device& device, const CnnModel& model,
-                                 const ModelImpl& impl,
-                                 const std::vector<std::vector<int>>& groups,
-                                 CheckpointDb& db, const OocOptions& ooc,
-                                 std::uint64_t seed_base, ThreadPool* pool,
-                                 DbBuildReport* report) {
-  std::vector<ComponentRequest> missing;
-  for (ComponentRequest& request : component_requests(model, impl, groups, seed_base)) {
-    if (!db.contains(request.key)) missing.push_back(std::move(request));
-  }
-
-  // Function optimization is embarrassingly parallel across components.
-  // Each seed derives from the dedup index i alone, never from execution
-  // order, so every pool width yields bit-identical checkpoints.
-  if (pool == nullptr) pool = &ThreadPool::global();
-  Stopwatch wall;
-  CpuStopwatch cpu;
-  std::mutex db_mutex;
-  parallel_for(
-      0, missing.size(),
-      [&](std::size_t i) {
-        Netlist netlist = build_component_netlist(model, impl, missing[i], seed_base);
-        OocOptions local = ooc;
-        local.seed = ooc.seed + i * 131;
-        OocResult result = implement_ooc(device, std::move(netlist), local);
-        // Gate every freshly implemented component on a full checkpoint DRC
-        // before it becomes reusable database content.
-        enforce_drc(run_checkpoint_drc(result.checkpoint, &device),
-                    "prepare_component_db '" + missing[i].key + "'");
-        std::lock_guard<std::mutex> lock(db_mutex);
-        db.put(missing[i].key, std::move(result.checkpoint));
-      },
-      pool);
-  if (report != nullptr) {
-    report->implemented = missing.size();
-    report->wall_seconds = wall.seconds();
-    report->cpu_seconds = cpu.seconds();
-    report->threads = pool->size();
-  }
-  return missing.size();
 }
 
 Netlist build_flat_netlist(const CnnModel& model, const ModelImpl& impl,

@@ -1,7 +1,8 @@
 // Bridges CNN models to the synthesis generators: builds per-group
-// component netlists (granularity exploration output), computes component
-// signatures for database reuse, and pre-populates the checkpoint database
-// (the offline function-optimization stage).
+// component netlists (granularity exploration output) and computes the
+// component signatures the checkpoint store is keyed by. CompileService
+// (flow/service.h) drives the offline function-optimization stage from
+// these.
 #pragma once
 
 #include <string>
@@ -9,11 +10,9 @@
 
 #include "cnn/impl.h"
 #include "cnn/model.h"
-#include "flow/checkpoint_db.h"
 #include "flow/compose.h"
 #include "flow/ooc.h"
 #include "netlist/netlist.h"
-#include "util/thread_pool.h"
 
 namespace fpgasim {
 
@@ -37,7 +36,7 @@ struct ComponentDfg {
 /// fork nodes are appended in ascending source-group order.
 ComponentDfg expand_group_graph(const GroupGraph& graph);
 
-/// Checkpoint-database key of a 1-to-N stream fork (forks are model- and
+/// Checkpoint-store key of a 1-to-N stream fork (forks are model- and
 /// weight-independent, so all designs share them).
 std::string fork_signature(int branches);
 
@@ -47,16 +46,16 @@ std::string fork_signature(int branches);
 Netlist build_group_netlist(const CnnModel& model, const ModelImpl& impl,
                             const std::vector<int>& group, std::uint64_t seed_base = 1000);
 
-/// Signature used as the checkpoint-database key. Identical layer
+/// Signature used as the checkpoint-store key. Identical layer
 /// configurations (e.g. VGG's replicated 3x3 convolutions) share one
 /// signature and therefore one pre-implemented checkpoint.
 std::string group_signature(const CnnModel& model, const ModelImpl& impl,
                             const std::vector<int>& group, std::uint64_t seed_base = 1000);
 
-/// One component a grouping needs from the database/store: either a layer
+/// One component a grouping needs from the store: either a layer
 /// group (`group` non-null, pointing into the caller's grouping — which
 /// must outlive the request) or a model-independent 1-to-N stream fork.
-/// `key` is the database/store signature (group_signature/fork_signature).
+/// `key` is the store signature (group_signature/fork_signature).
 struct ComponentRequest {
   std::string key;
   const std::vector<int>* group = nullptr;
@@ -69,7 +68,7 @@ struct ComponentRequest {
 /// branching models — the stream forks of the group DAG in ascending
 /// source-group order. This is the single source of truth for "what must
 /// exist before the pre-implemented flow can stitch": both
-/// prepare_component_db and the CompileService plan from it.
+/// CompileService and `fpga db gc` plan from it.
 std::vector<ComponentRequest> component_requests(const CnnModel& model,
                                                  const ModelImpl& impl,
                                                  const std::vector<std::vector<int>>& groups,
@@ -79,32 +78,6 @@ std::vector<ComponentRequest> component_requests(const CnnModel& model,
 Netlist build_component_netlist(const CnnModel& model, const ModelImpl& impl,
                                 const ComponentRequest& request,
                                 std::uint64_t seed_base = 1000);
-
-/// Wall/CPU accounting of one prepare_component_db run. CPU-seconds sum
-/// over all workers; wall/cpu diverge exactly when the build parallelizes.
-struct DbBuildReport {
-  std::size_t implemented = 0;  // cache misses actually built
-  double wall_seconds = 0.0;
-  double cpu_seconds = 0.0;
-  std::size_t threads = 1;  // pool width used
-};
-
-/// Ensures every group of `groups` has a checkpoint in `db`, implementing
-/// the missing ones OOC — in parallel across components on `pool` (the
-/// global pool when null; a width-1 pool builds serially). For branching
-/// models the stream forks required by the group DAG are implemented and
-/// stored too (after the group components, keyed by fork_signature). Each
-/// component's seed derives from its dedup index alone, so the resulting
-/// database is bit-identical for every pool width. Returns the number of
-/// components actually implemented (cache misses), also recorded in
-/// `report` with wall/CPU times when non-null.
-std::size_t prepare_component_db(const Device& device, const CnnModel& model,
-                                 const ModelImpl& impl,
-                                 const std::vector<std::vector<int>>& groups,
-                                 CheckpointDb& db, const OocOptions& ooc = {},
-                                 std::uint64_t seed_base = 1000,
-                                 ThreadPool* pool = nullptr,
-                                 DbBuildReport* report = nullptr);
 
 /// Synthesizes the whole model as one flat netlist (the baseline flow's
 /// input): all group netlists (plus stream forks for branching models)

@@ -155,16 +155,6 @@ PreImplReport run_preimpl_flow(const Device& device,
 PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
                               const ModelImpl& impl,
                               const std::vector<std::vector<int>>& groups,
-                              const CheckpointDb& db, ComposedDesign& out,
-                              const PreImplOptions& opt, std::uint64_t seed_base) {
-  return run_preimpl_cnn(
-      device, model, impl, groups,
-      [&db](const std::string& key) { return db.get(key); }, out, opt, seed_base);
-}
-
-PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
-                              const ModelImpl& impl,
-                              const std::vector<std::vector<int>>& groups,
                               const ComponentLookup& lookup, ComposedDesign& out,
                               const PreImplOptions& opt, std::uint64_t seed_base) {
   // Component extraction + matching (BFS over the DFG): every group and
@@ -192,7 +182,7 @@ PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
         }
         throw std::runtime_error("component matching failed for group [" + layers +
                                  "]: no checkpoint for '" + key +
-                                 "' (run prepare_component_db first)");
+                                 "' (not in the component store)");
       }
       graph.nodes.push_back(checkpoint);
       graph.names.push_back(checkpoint->netlist.name());
@@ -202,7 +192,7 @@ PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
       if (checkpoint == nullptr) {
         throw std::runtime_error("component matching failed: no checkpoint for the " +
                                  std::to_string(node.branches) + "-way stream fork '" +
-                                 key + "' (run prepare_component_db first)");
+                                 key + "' (not in the component store)");
       }
       graph.nodes.push_back(checkpoint);
       // Fork checkpoints are shared across fan-out sites; suffix the node

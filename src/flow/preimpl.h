@@ -12,7 +12,6 @@
 #include "cnn/impl.h"
 #include "cnn/model.h"
 #include "fabric/device.h"
-#include "flow/checkpoint_db.h"
 #include "flow/compose.h"
 #include "lint/lint.h"
 #include "place/macro_placer.h"
@@ -111,25 +110,17 @@ PreImplReport run_preimpl_flow(const Device& device,
                                const std::vector<std::string>& instance_names,
                                ComposedDesign& out, const PreImplOptions& opt = {});
 
-/// Component source for run_preimpl_cnn: resolves a database key
+/// Component source for run_preimpl_cnn: resolves a component key
 /// (group_signature / fork_signature) to a pre-implemented checkpoint, or
 /// nullptr when no match exists. Returned pointers must stay alive through
-/// the flow (the CheckpointDb overload guarantees this; a CheckpointStore
-/// client pins the shared_ptrs for the session).
+/// the flow (CompileService pins the store's shared_ptrs for the session).
 using ComponentLookup = std::function<const Checkpoint*(const std::string& key)>;
 
 /// CNN front end: matches each group (and the stream forks of branching
-/// models) against the database (component matching, BFS over the DFG) and
-/// runs the flow over the resulting component graph.
-PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
-                              const ModelImpl& impl,
-                              const std::vector<std::vector<int>>& groups,
-                              const CheckpointDb& db, ComposedDesign& out,
-                              const PreImplOptions& opt = {},
-                              std::uint64_t seed_base = 1000);
-
-/// Same flow with an arbitrary component source (the CompileService
-/// resolves against the content-addressed CheckpointStore through this).
+/// models) against the component source (component matching, BFS over the
+/// DFG) and runs the flow over the resulting component graph.
+/// CompileService::compile resolves every component against the
+/// content-addressed CheckpointStore and then calls this.
 PreImplReport run_preimpl_cnn(const Device& device, const CnnModel& model,
                               const ModelImpl& impl,
                               const std::vector<std::vector<int>>& groups,

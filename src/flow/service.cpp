@@ -109,9 +109,8 @@ CompileService::SessionResult CompileService::compile(
           OocOptions local = opt_.ooc;
           local.seed = component_seed(opt_.ooc, claim.hash);
           OocResult result = implement_ooc(device_, std::move(netlist), local);
-          // Same gate as prepare_component_db: a freshly built component
-          // must pass the full checkpoint DRC before it becomes shared
-          // database content.
+          // A freshly built component must pass the full checkpoint DRC
+          // before it becomes shared store content.
           enforce_drc(run_checkpoint_drc(result.checkpoint, &device_),
                       "compile service build '" + request.key + "'");
           auto shared = store_.put(request.key, device_, std::move(result.checkpoint));

@@ -220,9 +220,9 @@ std::shared_ptr<const Checkpoint> CheckpointStore::load_entry(const Hash128& has
   try {
     const std::string path = entry_path(hash);
     Checkpoint cp = load_checkpoint(path);
-    // Same gates as CheckpointDb::load_dir: a store entry only becomes
-    // usable content if it passes the checkpoint DRC (device-dependent
-    // rules run at use time) and, opt-in, fpgalint.
+    // A store entry only becomes usable content if it passes the
+    // checkpoint DRC (device-dependent rules run at use time) and, opt-in,
+    // fpgalint.
     enforce_drc(run_checkpoint_drc(cp), "store load '" + key + "' (" + path + ")");
     if (lint_) {
       lint::enforce(lint::run(cp.netlist), "store load '" + key + "' (" + path + ")");

@@ -15,8 +15,8 @@
 // All analyses are deterministic: single-threaded, iteration in index
 // order, findings emitted in (rule registration, cell/net id) order — the
 // report (and its JSON rendering) is byte-identical for any FPGASIM_THREADS
-// width. Used as an opt-in gate by both flows and the checkpoint database,
-// and standalone by tools/fpgalint.
+// width. Used as an opt-in gate by both flows and the checkpoint store,
+// and standalone by `fpga lint`.
 #pragma once
 
 #include <cstdint>

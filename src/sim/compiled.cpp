@@ -883,11 +883,11 @@ std::string compare_compiled_vs_interpreter(const Netlist& netlist, int cycles,
   // Compiled pass: record every output, pre-edge (after inputs settle) and
   // post-edge (after step, before the next cycle's inputs).
   if (!plan) plan = SimPlan::compile(netlist);
-  CompiledSim cs(plan);
+  SimContext cs(plan);
   std::vector<int> in_idx(ins.size());
   std::vector<int> out_idx(outs.size());
-  for (std::size_t i = 0; i < ins.size(); ++i) in_idx[i] = cs.input_index(ins[i]->name);
-  for (std::size_t i = 0; i < outs.size(); ++i) out_idx[i] = cs.output_index(outs[i]->name);
+  for (std::size_t i = 0; i < ins.size(); ++i) in_idx[i] = plan->input_index(ins[i]->name);
+  for (std::size_t i = 0; i < outs.size(); ++i) out_idx[i] = plan->output_index(outs[i]->name);
   std::vector<std::uint64_t> got(static_cast<std::size_t>(cycles) * outs.size() * lanes * 2);
   const auto got_at = [&](int cycle, std::size_t out, std::size_t lane,
                           int phase) -> std::uint64_t& {

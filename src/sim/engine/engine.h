@@ -67,7 +67,9 @@ struct EngineStats {
   std::string first_failure;  // first divergence, in shard order
   std::size_t contexts = 0;
   std::size_t threads = 0;
-  std::size_t resets = 0;  // context resets (== batches; telemetry)
+  // Context resets summed over this engine's contexts since construction:
+  // cumulative across serve() calls, not per call (telemetry).
+  std::size_t resets = 0;
   double wall_seconds = 0.0;
   double vectors_per_sec = 0.0;
   double lane_cycles_per_sec = 0.0;

@@ -1,6 +1,10 @@
+// Persistence of the checkpoint store, the paper's "database of pre-built
+// checkpoints" (Fig. 3): put/get/contains, a branching-DFG component set
+// surviving a reopen byte for byte, a store over a directory that does not
+// exist yet, the opt-in fpgalint gate on disk loads, and rejection of a
+// corrupt entry file.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -8,80 +12,17 @@
 #include "cnn/impl.h"
 #include "cnn/model.h"
 #include "flow/build.h"
-#include "flow/checkpoint_db.h"
+#include "flow/service.h"
+#include "flow/store.h"
 #include "synth/builder.h"
 
 namespace fpgasim {
 namespace {
 
-Checkpoint tiny_checkpoint(const std::string& name, double fmax, double seconds) {
-  NetlistBuilder b(name);
-  const NetId a = b.in_port("in_data", 16);
-  b.out_port("out_data", b.ff(a, kInvalidNet, 16));
-  Checkpoint cp;
-  cp.netlist = std::move(b).take();
-  cp.phys.resize_for(cp.netlist);
-  cp.pblock = Pblock{0, 0, 3, 3};
-  cp.meta.fmax_mhz = fmax;
-  cp.meta.implement_seconds = seconds;
-  return cp;
-}
-
-TEST(CheckpointDb, PutGetContains) {
-  CheckpointDb db;
-  EXPECT_FALSE(db.contains("a"));
-  EXPECT_EQ(db.get("a"), nullptr);
-  db.put("a", tiny_checkpoint("a", 400, 1.5));
-  EXPECT_TRUE(db.contains("a"));
-  ASSERT_NE(db.get("a"), nullptr);
-  EXPECT_DOUBLE_EQ(db.get("a")->meta.fmax_mhz, 400);
-  EXPECT_EQ(db.size(), 1u);
-}
-
-TEST(CheckpointDb, PutReplacesExisting) {
-  CheckpointDb db;
-  db.put("a", tiny_checkpoint("a", 400, 1.0));
-  db.put("a", tiny_checkpoint("a", 500, 2.0));
-  EXPECT_EQ(db.size(), 1u);
-  EXPECT_DOUBLE_EQ(db.get("a")->meta.fmax_mhz, 500);
-}
-
-TEST(CheckpointDb, TracksFunctionOptimizationTime) {
-  CheckpointDb db;
-  db.put("a", tiny_checkpoint("a", 400, 1.5));
-  db.put("b", tiny_checkpoint("b", 300, 2.5));
-  EXPECT_DOUBLE_EQ(db.total_implement_seconds(), 4.0);
-}
-
-TEST(CheckpointDb, KeysSorted) {
-  CheckpointDb db;
-  db.put("zeta", tiny_checkpoint("z", 1, 1));
-  db.put("alpha", tiny_checkpoint("a", 1, 1));
-  const auto keys = db.keys();
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], "alpha");
-  EXPECT_EQ(keys[1], "zeta");
-}
-
-TEST(CheckpointDb, SaveAndLoadDirectory) {
-  const std::string dir = testing::TempDir() + "/fdcp_db";
+std::string fresh_dir(const std::string& tag) {
+  const auto dir = std::filesystem::path(::testing::TempDir()) / ("fpgasim_store_" + tag);
   std::filesystem::remove_all(dir);
-  CheckpointDb db;
-  db.put("conv_i1x4x4_o2_k3", tiny_checkpoint("conv", 420, 3.0));
-  db.put("pool_i2x2x2_k2", tiny_checkpoint("pool", 510, 1.0));
-  db.save_dir(dir);
-
-  CheckpointDb restored;
-  EXPECT_EQ(restored.load_dir(dir), 2u);
-  EXPECT_EQ(restored.size(), 2u);
-  ASSERT_TRUE(restored.contains("conv_i1x4x4_o2_k3"));
-  EXPECT_DOUBLE_EQ(restored.get("conv_i1x4x4_o2_k3")->meta.fmax_mhz, 420);
-  EXPECT_EQ(restored.get("conv_i1x4x4_o2_k3")->netlist.name(), "conv");
-}
-
-TEST(CheckpointDb, LoadFromMissingDirectoryIsEmpty) {
-  CheckpointDb db;
-  EXPECT_EQ(db.load_dir("/nonexistent/db/dir"), 0u);
+  return dir.string();
 }
 
 std::string file_bytes(const std::filesystem::path& path) {
@@ -91,100 +32,118 @@ std::string file_bytes(const std::filesystem::path& path) {
   return out.str();
 }
 
-TEST(CheckpointDb, BranchingDfgDatabaseRoundTripsByteIdentical) {
-  // Build the component database for a branching model (residual blocks
-  // introduce stream-fork checkpoints alongside the group components),
-  // round-trip it through save_dir/load_dir, and require the re-saved
-  // files to match the originals byte for byte.
+Checkpoint tiny_checkpoint(const std::string& name, double fmax) {
+  NetlistBuilder b(name);
+  const NetId a = b.in_port("in_data", 16);
+  b.out_port("out_data", b.ff(a, kInvalidNet, 16));
+  Checkpoint cp;
+  cp.netlist = std::move(b).take();
+  cp.phys.resize_for(cp.netlist);
+  cp.pblock = Pblock{0, 0, 3, 3};
+  cp.meta.fmax_mhz = fmax;
+  return cp;
+}
+
+TEST(StorePersistence, PutGetContains) {
+  const Device device = make_xcku5p_sim();
+  CheckpointStore store(StoreOptions{.dir = fresh_dir("putget")});
+  EXPECT_FALSE(store.contains("a", device));
+  EXPECT_EQ(store.get("a", device), nullptr);
+  store.put("a", device, tiny_checkpoint("a", 400));
+  EXPECT_TRUE(store.contains("a", device));
+  const auto got = store.get("a", device);
+  ASSERT_NE(got, nullptr);
+  EXPECT_DOUBLE_EQ(got->meta.fmax_mhz, 400);
+  EXPECT_EQ(store.stats().entries, 1u);
+  // Content-addressed: a second put of the same key keeps the first entry.
+  store.put("a", device, tiny_checkpoint("a", 500));
+  EXPECT_EQ(store.stats().entries, 1u);
+  EXPECT_EQ(store.stats().puts, 1u);
+  EXPECT_DOUBLE_EQ(store.get("a", device)->meta.fmax_mhz, 400);
+}
+
+TEST(StorePersistence, BranchingDfgComponentsRoundTripAcrossReopen) {
+  // Build the components of a branching model (residual blocks add a
+  // stream-fork checkpoint alongside the group components) into an on-disk
+  // store, reopen it, and require every entry to come back from disk and
+  // re-serialize to exactly the bytes of its entry file.
   const Device device = make_xcku5p_sim();
   const CnnModel model = make_resblock_net();
   const ModelImpl impl = choose_implementation(model, 200);
   const auto groups = default_grouping(model);
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
-  ASSERT_GT(db.size(), groups.size()) << "expected fork checkpoints beyond the groups";
-  ASSERT_TRUE(db.contains(fork_signature(2)));
-
-  const std::string dir = testing::TempDir() + "/fdcp_resblock";
-  const std::string dir2 = testing::TempDir() + "/fdcp_resblock_resaved";
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(dir2);
-  db.save_dir(dir);
-
-  CheckpointDb restored;
-  EXPECT_EQ(restored.load_dir(dir), db.size());
-  EXPECT_EQ(restored.keys(), db.keys());
-  for (const std::string& key : db.keys()) {
-    ASSERT_NE(restored.get(key), nullptr) << key;
-    EXPECT_EQ(restored.get(key)->netlist.name(), db.get(key)->netlist.name());
-    EXPECT_EQ(restored.get(key)->pblock, db.get(key)->pblock);
+  const auto requests = component_requests(model, impl, groups);
+  ASSERT_GT(requests.size(), groups.size()) << "expected fork checkpoints beyond the groups";
+  const StoreOptions opt{.dir = fresh_dir("resblock")};
+  {
+    CheckpointStore store(opt);
+    CompileService service(device, store);
+    EXPECT_EQ(service.compile(model, impl, groups).built, requests.size());
   }
 
-  restored.save_dir(dir2);
-  std::size_t files = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const auto resaved = std::filesystem::path(dir2) / entry.path().filename();
-    ASSERT_TRUE(std::filesystem::exists(resaved)) << resaved;
-    EXPECT_EQ(file_bytes(entry.path()), file_bytes(resaved))
-        << entry.path().filename() << " changed across a load/save round trip";
-    ++files;
+  CheckpointStore reopened(opt);
+  ASSERT_TRUE(reopened.contains(fork_signature(2), device));
+  const auto entries = reopened.index_entries();
+  ASSERT_EQ(entries.size(), requests.size());
+  const std::string resaved = opt.dir + "/resaved.fdcp.tmp";
+  for (const CheckpointStore::IndexEntry& entry : entries) {
+    EXPECT_EQ(std::filesystem::path(entry.path).filename(), entry.hash.hex() + ".fdcp");
+    const auto checkpoint = reopened.get(entry.key, device);
+    ASSERT_NE(checkpoint, nullptr) << entry.key;
+    save_checkpoint(resaved, *checkpoint);
+    EXPECT_EQ(file_bytes(resaved), file_bytes(entry.path))
+        << entry.key << " changed across a reopen";
   }
-  EXPECT_EQ(files, db.size());
+  EXPECT_EQ(reopened.stats().disk_loads, requests.size());
+  std::filesystem::remove_all(opt.dir);
 }
 
-TEST(CheckpointDb, SanitizesKeysForFilenames) {
-  const std::string dir = testing::TempDir() + "/fdcp_weird";
-  std::filesystem::remove_all(dir);
-  CheckpointDb db;
-  db.put("conv/i=2 x*8", tiny_checkpoint("weird", 100, 1.0));
-  db.save_dir(dir);
-  std::size_t files = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    EXPECT_EQ(entry.path().extension(), ".fdcp");
-    ++files;
-  }
-  EXPECT_EQ(files, 1u);
+TEST(StorePersistence, MissingDirectoryOpensEmpty) {
+  const Device device = make_xcku5p_sim();
+  const std::string dir = fresh_dir("missing") + "/not/yet/created";
+  CheckpointStore store(StoreOptions{.dir = dir});
+  EXPECT_TRUE(store.persistent());
+  EXPECT_EQ(store.stats().entries, 0u);
+  EXPECT_FALSE(store.contains("conv_i1x4x4_o2_k3", device));
+  EXPECT_EQ(store.get("conv_i1x4x4_o2_k3", device), nullptr);
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
 }
 
-TEST(CheckpointDb, DistinctKeysNeverShareAFilename) {
-  // Regression: "conv/a" and "conv:a" both sanitize to "conv_a"; the old
-  // key -> filename mapping silently overwrote the first checkpoint with
-  // the second. The hash suffix keeps the mapping injective.
-  const std::string dir = testing::TempDir() + "/fdcp_collide";
+TEST(StorePersistence, LintGateRejectsDefectiveEntryOnDiskLoad) {
+  // A BRAM with neither ROM contents nor a write port leaks uninitialized
+  // state to the output: DRC-clean, but an fpgalint error. Only a store
+  // opened with StoreOptions::lint refuses to load it.
+  const Device device = make_xcku5p_sim();
+  NetlistBuilder b("xescape");
+  const NetId addr = b.in_port("addr", 4);
+  const NetId data = b.bram(addr, kInvalidNet, kInvalidNet, 16, 8, -1, "uninit");
+  b.out_port("out", b.ff(data, kInvalidNet, 8));
+  Checkpoint defective;
+  defective.netlist = std::move(b).take();
+  defective.phys.resize_for(defective.netlist);
+  defective.pblock = Pblock{0, 0, 3, 3};
+
+  const std::string dir = fresh_dir("lint");
+  CheckpointStore(StoreOptions{.dir = dir}).put("xescape", device, defective);
+  EXPECT_NE(CheckpointStore(StoreOptions{.dir = dir}).get("xescape", device), nullptr);
+  CheckpointStore gated(StoreOptions{.dir = dir, .lint = true});
+  EXPECT_THROW(gated.get("xescape", device), std::runtime_error);
   std::filesystem::remove_all(dir);
-  CheckpointDb db;
-  db.put("conv/a", tiny_checkpoint("slash", 100, 1.0));
-  db.put("conv:a", tiny_checkpoint("colon", 200, 2.0));
-  db.save_dir(dir);
-
-  std::size_t files = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    EXPECT_EQ(entry.path().extension(), ".fdcp");
-    ++files;
-  }
-  EXPECT_EQ(files, 2u) << "colliding sanitized keys must map to distinct files";
-
-  CheckpointDb restored;
-  EXPECT_EQ(restored.load_dir(dir), 2u);
-  // Both checkpoints survive the round trip (keys become the mangled
-  // stems, but no content is lost).
-  std::vector<std::string> names;
-  for (const std::string& key : restored.keys()) {
-    names.push_back(restored.get(key)->netlist.name());
-  }
-  std::sort(names.begin(), names.end());
-  EXPECT_EQ(names, (std::vector<std::string>{"colon", "slash"}));
 }
 
-TEST(CheckpointDb, CleanKeyFilenamesStayStable) {
-  // Filename-clean keys (every real group/fork signature) keep their
-  // historical "<key>.fdcp" layout: no hash suffix, byte-stable on disk.
-  const std::string dir = testing::TempDir() + "/fdcp_clean";
+TEST(StorePersistence, CorruptEntryIsRejected) {
+  const Device device = make_xcku5p_sim();
+  const std::string dir = fresh_dir("corrupt");
+  std::string path;
+  {
+    CheckpointStore store(StoreOptions{.dir = dir});
+    store.put("a", device, tiny_checkpoint("a", 400));
+    path = store.index_entries().at(0).path;
+  }
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << "not an fdcp file";
+  CheckpointStore reopened(StoreOptions{.dir = dir});
+  EXPECT_TRUE(reopened.contains("a", device));
+  EXPECT_THROW(reopened.get("a", device), std::runtime_error);
   std::filesystem::remove_all(dir);
-  CheckpointDb db;
-  db.put("conv_i1x4x4_o2_k3", tiny_checkpoint("conv", 420, 3.0));
-  db.save_dir(dir);
-  EXPECT_TRUE(std::filesystem::exists(dir + "/conv_i1x4x4_o2_k3.fdcp"));
 }
 
 }  // namespace

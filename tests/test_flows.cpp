@@ -6,6 +6,7 @@
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/preimpl.h"
+#include "flow/service.h"
 #include "stream_harness.h"
 
 namespace fpgasim {
@@ -20,7 +21,8 @@ struct MiniFlow {
   CnnModel model;
   ModelImpl impl;
   std::vector<std::vector<int>> groups;
-  CheckpointDb db;
+  CheckpointStore store{StoreOptions{}};
+  CompileService service{device, store};
 
   MiniFlow() {
     model = parse_arch_def(R"(network mini
@@ -31,17 +33,23 @@ conv c2 out=2 k=3
 )");
     impl = choose_implementation(model, 12);
     groups = default_grouping(model);
-    prepare_component_db(device, model, impl, groups, db);
+  }
+
+  CompileService::SessionResult compile(const PreImplOptions& opt = {}) {
+    return service.compile(model, impl, groups, opt);
   }
 };
 
+/// A component source that never matches (an empty store).
+const Checkpoint* no_component(const std::string&) { return nullptr; }
+
 TEST(Flows, PreImplPipelineEndToEnd) {
   MiniFlow f;
-  EXPECT_EQ(f.db.size(), 3u);
-
-  ComposedDesign composed;
-  const PreImplReport report =
-      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, composed);
+  const auto session = f.compile();
+  EXPECT_EQ(session.components, 3u);
+  EXPECT_EQ(f.store.stats().puts, 3u);
+  const PreImplReport& report = session.report;
+  const ComposedDesign& composed = session.design;
 
   EXPECT_TRUE(report.macro.success);
   EXPECT_TRUE(report.route.success);
@@ -63,16 +71,14 @@ TEST(Flows, PreImplPipelineEndToEnd) {
 TEST(Flows, LockedComponentRoutesSurviveComposition) {
   MiniFlow f;
   // Snapshot one checkpoint's internal routes.
+  const auto session = f.compile();
+  ASSERT_TRUE(session.report.route.success);
+  const ComposedDesign& composed = session.design;
   const std::string key = group_signature(f.model, f.impl, f.groups[0]);
-  const Checkpoint* cp = f.db.get(key);
+  const auto cp = f.store.get(key, f.device);
   ASSERT_NE(cp, nullptr);
   std::size_t locked_edges = 0;
   for (const RouteInfo& route : cp->phys.routes) locked_edges += route.edges.size();
-
-  ComposedDesign composed;
-  const PreImplReport report =
-      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, composed);
-  ASSERT_TRUE(report.route.success);
 
   // Instance 0's nets keep at least the locked edges (translated), and the
   // relative geometry of the first route is preserved.
@@ -86,9 +92,7 @@ TEST(Flows, LockedComponentRoutesSurviveComposition) {
 
 TEST(Flows, MonolithicBaselineCompletesAndIsSlower) {
   MiniFlow f;
-  ComposedDesign composed;
-  const PreImplReport pre =
-      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, composed);
+  const PreImplReport pre = f.compile().report;
 
   Netlist flat = build_flat_netlist(f.model, f.impl, f.groups);
   PhysState phys;
@@ -115,9 +119,7 @@ TEST(Flows, CompiledVerifyGatePassesInBothFlows) {
   PreImplOptions pre_opt;
   pre_opt.compiled_verify = true;
   pre_opt.compiled_verify_cycles = 16;
-  ComposedDesign composed;
-  const PreImplReport pre =
-      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, composed, pre_opt);
+  const PreImplReport pre = f.compile(pre_opt).report;
   EXPECT_TRUE(pre.compiled_verify_ok);
   EXPECT_GT(pre.compiled_verify_seconds, 0.0);
 
@@ -133,27 +135,26 @@ TEST(Flows, CompiledVerifyGatePassesInBothFlows) {
 
 TEST(Flows, CompiledVerifyGateDefaultsOff) {
   MiniFlow f;
-  ComposedDesign composed;
-  const PreImplReport pre =
-      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, composed);
+  const PreImplReport pre = f.compile().report;
   EXPECT_FALSE(pre.compiled_verify_ok);
   EXPECT_EQ(pre.compiled_verify_seconds, 0.0);
 }
 
 TEST(Flows, ComponentMatchingFailsWithoutDatabase) {
   MiniFlow f;
-  CheckpointDb empty;
   ComposedDesign composed;
-  EXPECT_THROW(run_preimpl_cnn(f.device, f.model, f.impl, f.groups, empty, composed),
-               std::runtime_error);
+  EXPECT_THROW(
+      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, no_component, composed),
+      std::runtime_error);
 }
 
 TEST(Flows, DatabaseReuseSkipsReimplementation) {
   MiniFlow f;
-  // Second call: everything already cached.
-  const std::size_t built_again =
-      prepare_component_db(f.device, f.model, f.impl, f.groups, f.db);
-  EXPECT_EQ(built_again, 0u);
+  EXPECT_EQ(f.compile().built, 3u);
+  // Second session: everything already in the store.
+  const auto again = f.compile();
+  EXPECT_EQ(again.built, 0u);
+  EXPECT_EQ(again.store_hits, again.components);
 }
 
 TEST(Flows, ReplicatedComponentsShareOneCheckpoint) {
@@ -174,13 +175,14 @@ fc f2 out=8
   const auto groups = default_grouping(model);
   ASSERT_EQ(group_signature(model, impl, groups[0]),
             group_signature(model, impl, groups[1]));
-  CheckpointDb db;
-  const std::size_t built = prepare_component_db(device, model, impl, groups, db);
-  EXPECT_EQ(built, 1u);  // implemented exactly once (the reuse claim)
-  EXPECT_EQ(db.size(), 1u);
+  CheckpointStore store(StoreOptions{});
+  CompileService service(device, store);
+  const auto session = service.compile(model, impl, groups);
+  EXPECT_EQ(session.built, 1u);  // implemented exactly once (the reuse claim)
+  EXPECT_EQ(store.stats().puts, 1u);
 
-  ComposedDesign composed;
-  const PreImplReport report = run_preimpl_cnn(device, model, impl, groups, db, composed);
+  const PreImplReport& report = session.report;
+  const ComposedDesign& composed = session.design;
   EXPECT_TRUE(report.macro.success);
   EXPECT_EQ(composed.instances.size(), 2u);
   // Relocation must place the two copies at non-overlapping anchors.
@@ -189,9 +191,7 @@ fc f2 out=8
 
 TEST(Flows, StitchIsSmallShareOfArchitectureOptimization) {
   MiniFlow f;
-  ComposedDesign composed;
-  const PreImplReport report =
-      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, composed);
+  const PreImplReport report = f.compile().report;
   // Paper: stitching is 5-9% of the flow; allow a loose upper bound here.
   EXPECT_LT(report.stitch_fraction(), 0.6);
   EXPECT_GT(report.function_opt_seconds, 0.0);
@@ -204,11 +204,10 @@ TEST(Flows, PreImplLeNetFinishesDrcClean) {
   const CnnModel model = make_lenet5();
   const ModelImpl impl = choose_implementation(model, 16);
   const auto groups = default_grouping(model);
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
+  CheckpointStore store(StoreOptions{});
+  CompileService service(device, store);
 
-  ComposedDesign composed;
-  const PreImplReport report = run_preimpl_cnn(device, model, impl, groups, db, composed);
+  const PreImplReport report = service.compile(model, impl, groups).report;
   EXPECT_TRUE(report.route.success);
   EXPECT_TRUE(report.drc_compose.clean()) << report.drc_compose.to_string();
   EXPECT_TRUE(report.drc_place.clean()) << report.drc_place.to_string();
@@ -234,11 +233,9 @@ TEST(Flows, MonolithicLeNetFinishesDrcClean) {
 
 TEST(Flows, DrcGateCanBeDisabled) {
   MiniFlow f;
-  ComposedDesign composed;
   PreImplOptions opt;
   opt.drc = false;
-  const PreImplReport report =
-      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, composed, opt);
+  const PreImplReport report = f.compile(opt).report;
   EXPECT_TRUE(report.route.success);
   EXPECT_EQ(report.drc.rules_run(), 0u);  // gates skipped entirely
 }
@@ -248,12 +245,10 @@ struct ResblockFlow {
   CnnModel model = make_resblock_net();
   ModelImpl impl;
   std::vector<std::vector<int>> groups;
-  CheckpointDb db;
 
   ResblockFlow() {
     impl = choose_implementation(model, 16);
     groups = default_grouping(model);
-    prepare_component_db(device, model, impl, groups, db);
   }
 };
 
@@ -263,13 +258,16 @@ TEST(Flows, ResblockPreImplEndToEndBitMatchesGolden) {
   // with a stream fork on the skip connection. Every DRC gate must be
   // clean and the composed simulation bit-exact against the golden DFG.
   ResblockFlow f;
+  CheckpointStore store(StoreOptions{});
+  CompileService service(f.device, store);
+  const auto session = service.compile(f.model, f.impl, f.groups);
   // 6 group components (c1, c2a, c2b, add1, p1+relu, f1) + the 2-way fork.
-  EXPECT_EQ(f.db.size(), 7u);
-  ASSERT_NE(f.db.get(fork_signature(2)), nullptr);
+  EXPECT_EQ(session.components, 7u);
+  EXPECT_EQ(store.stats().puts, 7u);
+  ASSERT_TRUE(store.contains(fork_signature(2), f.device));
 
-  ComposedDesign composed;
-  const PreImplReport report =
-      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, composed);
+  const PreImplReport& report = session.report;
+  const ComposedDesign& composed = session.design;
   EXPECT_TRUE(report.macro.success);
   EXPECT_TRUE(report.route.success);
   EXPECT_TRUE(report.drc_compose.clean()) << report.drc_compose.to_string();
@@ -306,17 +304,16 @@ TEST(Flows, ResblockMonolithicBaselineBitMatchesGolden) {
 
 TEST(Flows, ResblockMatchingErrorNamesTheGroupLayers) {
   ResblockFlow f;
-  CheckpointDb empty;
   ComposedDesign composed;
   try {
-    run_preimpl_cnn(f.device, f.model, f.impl, f.groups, empty, composed);
+    run_preimpl_cnn(f.device, f.model, f.impl, f.groups, no_component, composed);
     FAIL() << "expected component matching to throw";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     // The first unmatched group is c1: the message must name the layer and
     // its kind, not just the opaque signature.
     EXPECT_NE(what.find("c1 (conv)"), std::string::npos) << what;
-    EXPECT_NE(what.find("prepare_component_db"), std::string::npos) << what;
+    EXPECT_NE(what.find("not in the component store"), std::string::npos) << what;
   }
 }
 
@@ -324,10 +321,13 @@ TEST(Flows, ChainWrapperStillComposesChains) {
   // Existing chain-based callers go through the thin wrapper; it must
   // behave exactly like a two-edge component graph.
   MiniFlow f;
+  f.compile();  // populates the store
+  std::vector<std::shared_ptr<const Checkpoint>> pinned;
   std::vector<const Checkpoint*> chain;
   std::vector<std::string> names;
   for (const auto& group : f.groups) {
-    chain.push_back(f.db.get(group_signature(f.model, f.impl, group)));
+    pinned.push_back(f.store.get(group_signature(f.model, f.impl, group), f.device));
+    chain.push_back(pinned.back().get());
     names.push_back(chain.back()->netlist.name());
   }
   ComposedDesign composed;

@@ -9,6 +9,7 @@
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/preimpl.h"
+#include "flow/service.h"
 #include "lint/lint.h"
 #include "synth/builder.h"
 
@@ -299,25 +300,25 @@ struct CleanFlow {
   CnnModel model;
   ModelImpl impl;
   std::vector<std::vector<int>> groups;
-  CheckpointDb db;
+  CheckpointStore store{StoreOptions{}};
+  // The OOC lint gate runs over every checkpoint as it is built.
+  CompileService service{device, store, ServiceOptions{.ooc = {.lint = true}}};
 
   explicit CleanFlow(CnnModel m, long dsp_budget, int max_tile = 32) : model(std::move(m)) {
     impl = choose_implementation(model, dsp_budget, max_tile);
     groups = default_grouping(model);
-    // The OOC lint gate runs over every checkpoint as it is built.
-    OocOptions ooc;
-    ooc.lint = true;
-    prepare_component_db(device, model, impl, groups, db, ooc);
+  }
+
+  CompileService::SessionResult compile(const PreImplOptions& opt = {}) {
+    return service.compile(model, impl, groups, opt);
   }
 };
 
 TEST(LintClean, LeNetPreImplAndMonolithic) {
   CleanFlow f(make_lenet5(), 64);
-  ComposedDesign composed;
   PreImplOptions opt;
   opt.lint = true;  // gate throws on error findings
-  const PreImplReport pre =
-      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, composed, opt);
+  const PreImplReport pre = f.compile(opt).report;
   EXPECT_TRUE(pre.lint.empty()) << pre.lint.to_string();
   EXPECT_GE(pre.lint.rules_run(), 9u);
 
@@ -331,22 +332,18 @@ TEST(LintClean, LeNetPreImplAndMonolithic) {
 
 TEST(LintClean, ResblockPreImpl) {
   CleanFlow f(make_resblock_net(), 64);
-  ComposedDesign composed;
   PreImplOptions opt;
   opt.lint = true;
-  const PreImplReport pre =
-      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, composed, opt);
+  const PreImplReport pre = f.compile(opt).report;
   EXPECT_TRUE(pre.lint.empty()) << pre.lint.to_string();
 }
 
 TEST(LintClean, Vgg16PreImpl) {
   // The VGG example's quick configuration (small tiles, streamed weights).
   CleanFlow f(make_vgg16(), 384, 14);
-  ComposedDesign composed;
   PreImplOptions opt;
   opt.lint = true;
-  const PreImplReport pre =
-      run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, composed, opt);
+  const PreImplReport pre = f.compile(opt).report;
   EXPECT_TRUE(pre.lint.empty()) << pre.lint.to_string();
 }
 
@@ -360,11 +357,10 @@ pool p1 k=2 relu
 conv c2 out=2 k=3
 )"),
               12);
-  ComposedDesign first, second;
-  run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, first);
-  run_preimpl_cnn(f.device, f.model, f.impl, f.groups, f.db, second);
-  const std::string json_a = lint::run(first.netlist).to_json();
-  const std::string json_b = lint::run(second.netlist).to_json();
+  const auto first = f.compile();
+  const auto second = f.compile();
+  const std::string json_a = lint::run(first.design.netlist).to_json();
+  const std::string json_b = lint::run(second.design.netlist).to_json();
   EXPECT_EQ(json_a, json_b);
   EXPECT_EQ(json_a.find("seconds"), std::string::npos) << "timing must stay out of JSON";
 }

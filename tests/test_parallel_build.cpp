@@ -1,8 +1,9 @@
-// Determinism contract of the parallel component-database build
-// (prepare_component_db): every thread-pool width must produce the same
-// checkpoints, byte for byte once the recorded wall-times — measurements,
-// not results — are normalized out. Seeds derive from the dedup index
-// alone, so scheduling order cannot leak into the output.
+// Determinism contract of the parallel component build (CompileService):
+// every thread-pool width must produce the same checkpoints, byte for byte
+// once the recorded wall-times — measurements, not results — are
+// normalized out, and the same composed design. Seeds derive from each
+// component's content hash alone, so scheduling order cannot leak into the
+// output.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,25 +12,25 @@
 #include <sstream>
 
 #include "flow/build.h"
+#include "flow/service.h"
+#include "flow/store.h"
 
 namespace fpgasim {
 namespace {
 
-std::string slurp(const std::filesystem::path& path) {
+/// Serialized bytes of a checkpoint with implement_seconds zeroed (wall
+/// time is the one legitimately nondeterministic field of a checkpoint).
+std::string normalized_bytes(const Checkpoint& checkpoint, const std::string& tag) {
+  Checkpoint copy = checkpoint;
+  copy.meta.implement_seconds = 0.0;
+  const auto path =
+      std::filesystem::path(::testing::TempDir()) / ("fpgasim_par_" + tag + ".fdcp");
+  save_checkpoint(path.string(), copy);
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
   out << in.rdbuf();
+  std::filesystem::remove(path);
   return out.str();
-}
-
-/// All .fdcp files of a directory: file name -> contents.
-std::map<std::string, std::string> dir_bytes(const std::filesystem::path& dir) {
-  std::map<std::string, std::string> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".fdcp") continue;
-    files[entry.path().filename().string()] = slurp(entry.path());
-  }
-  return files;
 }
 
 struct ParallelBuildFixture {
@@ -53,98 +54,81 @@ pool p2 k=2
     groups = default_grouping(model);
   }
 
-  /// Builds the database on `width` workers and persists it with
-  /// implement_seconds zeroed (wall time is the one legitimately
-  /// nondeterministic field of a checkpoint).
-  std::map<std::string, std::string> build(std::size_t width, DbBuildReport* report) {
+  struct Build {
+    std::map<std::string, std::string> checkpoints;  // key -> normalized bytes
+    std::string design;                              // design_fingerprint
+    std::size_t built = 0;
+  };
+
+  /// Compiles the model on a fresh memory-only store with a `width`-wide
+  /// build pool.
+  Build build(std::size_t width) {
     ThreadPool pool(width);
-    CheckpointDb db;
-    prepare_component_db(device, model, impl, groups, db, {}, 1000, &pool, report);
-    CheckpointDb normalized;
-    for (const std::string& key : db.keys()) {
-      Checkpoint copy = *db.get(key);
-      copy.meta.implement_seconds = 0.0;
-      normalized.put(key, std::move(copy));
+    CheckpointStore store(StoreOptions{});
+    CompileService service(device, store, ServiceOptions{.pool = &pool});
+    const auto session = service.compile(model, impl, groups);
+    Build out;
+    out.built = session.built;
+    out.design = design_fingerprint(session.design);
+    for (const ComponentRequest& request : component_requests(model, impl, groups)) {
+      const auto checkpoint = store.get(request.key, device);
+      EXPECT_NE(checkpoint, nullptr) << request.key;
+      if (checkpoint) {
+        out.checkpoints[request.key] =
+            normalized_bytes(*checkpoint, "w" + std::to_string(width));
+      }
     }
-    const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) /
-        ("fpgasim_par_db_w" + std::to_string(width));
-    std::filesystem::remove_all(dir);
-    normalized.save_dir(dir.string());
-    auto bytes = dir_bytes(dir);
-    std::filesystem::remove_all(dir);
-    return bytes;
+    return out;
+  }
+
+  void expect_identical_across_widths(std::size_t components) {
+    const Build serial = build(1);
+    EXPECT_EQ(serial.built, components);
+    ASSERT_EQ(serial.checkpoints.size(), components);
+    for (const std::size_t width : {std::size_t{2}, std::size_t{8}}) {
+      const Build parallel = build(width);
+      EXPECT_EQ(parallel.built, components) << "width " << width;
+      EXPECT_EQ(parallel.design, serial.design) << "composed design differs at width "
+                                                << width;
+      ASSERT_EQ(parallel.checkpoints.size(), serial.checkpoints.size()) << "width " << width;
+      for (const auto& [key, bytes] : serial.checkpoints) {
+        const auto it = parallel.checkpoints.find(key);
+        ASSERT_NE(it, parallel.checkpoints.end()) << "missing " << key << " at width "
+                                                  << width;
+        EXPECT_EQ(it->second, bytes) << "checkpoint " << key << " differs at width "
+                                     << width;
+      }
+    }
   }
 };
 
-TEST(ParallelBuild, DatabaseIsByteIdenticalAcrossThreadCounts) {
+TEST(ParallelBuild, ChainIsByteIdenticalAcrossThreadCounts) {
   ParallelBuildFixture fixture;
-  DbBuildReport serial_report;
-  const auto serial = fixture.build(1, &serial_report);
-  EXPECT_EQ(serial_report.implemented, 4u);
-  EXPECT_EQ(serial_report.threads, 1u);
-  EXPECT_GT(serial_report.wall_seconds, 0.0);
-  EXPECT_GT(serial_report.cpu_seconds, 0.0);
-  ASSERT_EQ(serial.size(), 4u);
-
-  for (const std::size_t width : {std::size_t{2}, std::size_t{8}}) {
-    DbBuildReport report;
-    const auto parallel = fixture.build(width, &report);
-    EXPECT_EQ(report.threads, width);
-    EXPECT_EQ(report.implemented, 4u);
-    ASSERT_EQ(parallel.size(), serial.size()) << "width " << width;
-    for (const auto& [name, bytes] : serial) {
-      const auto it = parallel.find(name);
-      ASSERT_NE(it, parallel.end()) << "missing " << name << " at width " << width;
-      EXPECT_EQ(it->second, bytes)
-          << "checkpoint " << name << " differs at width " << width;
-    }
-  }
+  fixture.expect_identical_across_widths(4);
 }
 
-TEST(ParallelBuild, BranchingModelDatabaseIsByteIdenticalAcrossThreadCounts) {
-  // The resblock database adds join components and a stream fork to the
-  // work list; fork seeds derive from their position after the group keys,
-  // so pool width must still not leak into any checkpoint.
+TEST(ParallelBuild, BranchingModelIsByteIdenticalAcrossThreadCounts) {
+  // The resblock adds join components and a stream fork to the work list;
+  // pool width must still not leak into any checkpoint.
   ParallelBuildFixture fixture;
   fixture.model = make_resblock_net();
   fixture.impl = choose_implementation(fixture.model, 16);
   fixture.groups = default_grouping(fixture.model);
-
-  DbBuildReport serial_report;
-  const auto serial = fixture.build(1, &serial_report);
   // 6 groups + the 2-way fork.
-  EXPECT_EQ(serial_report.implemented, 7u);
-  ASSERT_EQ(serial.size(), 7u);
-
-  for (const std::size_t width : {std::size_t{2}, std::size_t{8}}) {
-    DbBuildReport report;
-    const auto parallel = fixture.build(width, &report);
-    EXPECT_EQ(report.implemented, 7u);
-    ASSERT_EQ(parallel.size(), serial.size()) << "width " << width;
-    for (const auto& [name, bytes] : serial) {
-      const auto it = parallel.find(name);
-      ASSERT_NE(it, parallel.end()) << "missing " << name << " at width " << width;
-      EXPECT_EQ(it->second, bytes)
-          << "checkpoint " << name << " differs at width " << width;
-    }
-  }
+  fixture.expect_identical_across_widths(7);
 }
 
 TEST(ParallelBuild, CacheHitsSkipReimplementation) {
   ParallelBuildFixture fixture;
   ThreadPool pool(2);
-  CheckpointDb db;
-  EXPECT_EQ(prepare_component_db(fixture.device, fixture.model, fixture.impl,
-                                 fixture.groups, db, {}, 1000, &pool),
-            4u);
-  // Second run: everything is already in the database.
-  DbBuildReport report;
-  EXPECT_EQ(prepare_component_db(fixture.device, fixture.model, fixture.impl,
-                                 fixture.groups, db, {}, 1000, &pool, &report),
-            0u);
-  EXPECT_EQ(report.implemented, 0u);
-  EXPECT_EQ(db.size(), 4u);
+  CheckpointStore store(StoreOptions{});
+  CompileService service(fixture.device, store, ServiceOptions{.pool = &pool});
+  EXPECT_EQ(service.compile(fixture.model, fixture.impl, fixture.groups).built, 4u);
+  // Second session: everything is already in the store.
+  const auto again = service.compile(fixture.model, fixture.impl, fixture.groups);
+  EXPECT_EQ(again.built, 0u);
+  EXPECT_EQ(again.store_hits, 4u);
+  EXPECT_EQ(store.stats().puts, 4u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Cross-module property tests: determinism of every CAD stage under a
-// fixed seed, and end-to-end integrity of the checkpoint database when it
-// round-trips through disk before composition.
+// fixed seed, and end-to-end integrity of the checkpoint store when it
+// round-trips through disk (a restart) before composition.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -9,6 +9,7 @@
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/preimpl.h"
+#include "flow/service.h"
 #include "stream_harness.h"
 
 namespace fpgasim {
@@ -47,11 +48,10 @@ TEST(Determinism, PreImplFlowIsSeedStable) {
   const CnnModel model = tiny_model();
   const ModelImpl impl = choose_implementation(model, 8);
   const auto groups = default_grouping(model);
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
-  ComposedDesign d1, d2;
-  const PreImplReport r1 = run_preimpl_cnn(device, model, impl, groups, db, d1);
-  const PreImplReport r2 = run_preimpl_cnn(device, model, impl, groups, db, d2);
+  CheckpointStore store(StoreOptions{});
+  CompileService service(device, store);
+  const PreImplReport r1 = service.compile(model, impl, groups).report;
+  const PreImplReport r2 = service.compile(model, impl, groups).report;
   EXPECT_DOUBLE_EQ(r1.timing.fmax_mhz, r2.timing.fmax_mhz);
   EXPECT_EQ(r1.macro.offsets, r2.macro.offsets);
 }
@@ -71,9 +71,10 @@ TEST(Determinism, MonolithicFlowIsSeedStable) {
 }
 
 TEST(Integration, DatabaseDiskRoundTripComposesAndSimulates) {
-  // Save the component database to disk, reload it into a fresh database,
-  // run the architecture optimization from the reloaded checkpoints, and
-  // prove the composed accelerator still computes the network bit-exactly.
+  // Build the components into an on-disk store, reopen it as a fresh
+  // store (a restart), run the architecture optimization from the reloaded
+  // checkpoints, and prove the composed accelerator still computes the
+  // network bit-exactly.
   const std::string dir = testing::TempDir() + "/prop_db";
   std::filesystem::remove_all(dir);
   const Device device = make_xcku5p_sim();
@@ -81,17 +82,21 @@ TEST(Integration, DatabaseDiskRoundTripComposesAndSimulates) {
   const ModelImpl impl = choose_implementation(model, 8);
   const auto groups = default_grouping(model);
 
+  StoreOptions opt;
+  opt.dir = dir;
   {
-    CheckpointDb db;
-    prepare_component_db(device, model, impl, groups, db);
-    db.save_dir(dir);
+    CheckpointStore store(opt);
+    CompileService service(device, store);
+    ASSERT_EQ(service.compile(model, impl, groups).built, groups.size());
   }
-  CheckpointDb reloaded;
-  ASSERT_EQ(reloaded.load_dir(dir), groups.size());
+  CheckpointStore reloaded(opt);
+  CompileService service(device, reloaded);
+  const auto session = service.compile(model, impl, groups);
+  ASSERT_EQ(session.built, 0u);
+  ASSERT_EQ(reloaded.stats().disk_loads, groups.size());
 
-  ComposedDesign composed;
-  const PreImplReport report =
-      run_preimpl_cnn(device, model, impl, groups, reloaded, composed);
+  const PreImplReport& report = session.report;
+  const ComposedDesign& composed = session.design;
   ASSERT_TRUE(report.route.success);
   ASSERT_TRUE(composed.netlist.validate().empty());
 
@@ -315,10 +320,9 @@ TEST(Integration, RelocatedCheckpointStaysWithinDevice) {
   const CnnModel model = tiny_model();
   const ModelImpl impl = choose_implementation(model, 8);
   const auto groups = default_grouping(model);
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
-  ComposedDesign composed;
-  run_preimpl_cnn(device, model, impl, groups, db, composed);
+  CheckpointStore store(StoreOptions{});
+  CompileService service(device, store);
+  const ComposedDesign composed = service.compile(model, impl, groups).design;
   for (const auto& inst : composed.instances) {
     EXPECT_GE(inst.footprint.x0, 0);
     EXPECT_LT(inst.footprint.x1, device.width());
@@ -343,10 +347,9 @@ TEST(Integration, RouterRespectsCapacityOnComposedDesign) {
   const CnnModel model = tiny_model();
   const ModelImpl impl = choose_implementation(model, 8);
   const auto groups = default_grouping(model);
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
-  ComposedDesign composed;
-  const PreImplReport report = run_preimpl_cnn(device, model, impl, groups, db, composed);
+  CheckpointStore store(StoreOptions{});
+  CompileService service(device, store);
+  const PreImplReport report = service.compile(model, impl, groups).report;
   EXPECT_EQ(report.route.max_overuse, 0) << "composed design left overused channels";
 }
 

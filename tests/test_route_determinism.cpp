@@ -11,6 +11,7 @@
 
 #include "flow/build.h"
 #include "flow/preimpl.h"
+#include "flow/service.h"
 #include "route/router.h"
 #include "synth/builder.h"
 
@@ -124,22 +125,23 @@ TEST(RouteDeterminism, CongestedFabricIsByteIdenticalAcrossWidths) {
 }
 
 TEST(RouteDeterminism, LenetPreImplRoutingIsByteIdenticalAcrossWidths) {
-  // Compose and place LeNet once (deterministic already, see
-  // test_parallel_build), snapshot the pre-route state, then run only the
-  // inter-component routing stage at every width.
+  // Build LeNet's components through the service (deterministic already,
+  // see test_parallel_build), compose and place them once, snapshot the
+  // pre-route state, then run only the inter-component routing stage at
+  // every width.
   const Device device = make_xcku5p_sim();
   const CnnModel model = make_lenet5();
   const ModelImpl impl = choose_implementation(model, 200);
   const auto groups = default_grouping(model);
-  CheckpointDb db;
-  prepare_component_db(device, model, impl, groups, db);
+  CheckpointStore store(StoreOptions{});
+  CompileService(device, store).compile(model, impl, groups);
 
   Composer composer("det_lenet");
-  std::vector<const Checkpoint*> chain;
+  std::vector<std::shared_ptr<const Checkpoint>> chain;
   for (const auto& group : groups) {
-    const Checkpoint* cp = db.get(group_signature(model, impl, group));
+    auto cp = store.get(group_signature(model, impl, group), device);
     ASSERT_NE(cp, nullptr);
-    chain.push_back(cp);
+    chain.push_back(std::move(cp));
   }
   for (std::size_t i = 0; i < chain.size(); ++i) {
     composer.add_instance(*chain[i], "inst" + std::to_string(i), i);

@@ -299,6 +299,38 @@ TEST(CompileService, RestartResolvesEverythingFromTheStore) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CompileService, ResultIsIndependentOfStoreHistory) {
+  // A component's bytes depend on its content alone, never on what the
+  // store already held: compiling model A first (which shares components
+  // with B) must not change B's composed design.
+  ServiceFixture fixture;
+  ServiceFixture::Spec first;
+  first.model = parse_arch_def(R"(network first
+input 2 14 14
+conv c1 out=4 k=3
+pool p1 k=2 relu
+conv c2 out=4 k=3
+)");
+  first.impl = choose_implementation(first.model, 12);
+  first.groups = default_grouping(first.model);
+  const ServiceFixture::Spec& second = fixture.chain;
+  ASSERT_LT(fixture.unique_components({&first, &second}),
+            fixture.unique_components({&first}) + fixture.unique_components({&second}))
+      << "the two models must share a component for this test to bite";
+
+  CheckpointStore shared(StoreOptions{});
+  CompileService after_first(fixture.device, shared);
+  after_first.compile(first.model, first.impl, first.groups);
+  const auto warm = after_first.compile(second.model, second.impl, second.groups);
+  EXPECT_GT(warm.store_hits, 0u);
+
+  CheckpointStore fresh(StoreOptions{});
+  const auto cold =
+      CompileService(fixture.device, fresh).compile(second.model, second.impl, second.groups);
+  EXPECT_EQ(cold.built, cold.components);
+  EXPECT_EQ(design_fingerprint(warm.design), design_fingerprint(cold.design));
+}
+
 TEST(CompileService, MemoryOnlyStoreStillDedupes) {
   ServiceFixture fixture;
   StoreOptions opt;  // no directory: the cache is authoritative

@@ -11,6 +11,7 @@
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/preimpl.h"
+#include "flow/service.h"
 #include "sim/compiled.h"
 #include "stream_harness.h"
 #include "synth/builder.h"
@@ -106,7 +107,7 @@ Netlist random_netlist(std::uint64_t seed) {
   return std::move(b).take();
 }
 
-TEST(CompiledSim, RandomNetlistFuzzMatchesInterpreter) {
+TEST(CompiledPlan, RandomNetlistFuzzMatchesInterpreter) {
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     const Netlist nl = random_netlist(seed);
     ASSERT_TRUE(nl.validate().empty()) << "seed " << seed;
@@ -118,7 +119,7 @@ TEST(CompiledSim, RandomNetlistFuzzMatchesInterpreter) {
 // ---------------------------------------------------------------------------
 // Hand-built corners the generators never produce.
 
-TEST(CompiledSim, MultiOutputCellsFanOutInBothSimulators) {
+TEST(CompiledPlan, MultiOutputCellsFanOutInBothSimulators) {
   Netlist nl("mo");
   const NetId a = nl.add_net(8, "a");
   nl.add_port({"a", PortDir::kInput, 8, a});
@@ -149,7 +150,7 @@ TEST(CompiledSim, MultiOutputCellsFanOutInBothSimulators) {
   EXPECT_EQ(compare_compiled_vs_interpreter(nl, 16, 42), "");
 }
 
-TEST(CompiledSim, WideWidthCellsAreDefinedAndMatch) {
+TEST(CompiledPlan, WideWidthCellsAreDefinedAndMatch) {
   // Widths 63/64 exercise the clamp_signed / mask_width guards under the
   // sanitizer jobs in both evaluators.
   NetlistBuilder b("wide");
@@ -162,37 +163,38 @@ TEST(CompiledSim, WideWidthCellsAreDefinedAndMatch) {
   EXPECT_EQ(compare_compiled_vs_interpreter(nl, 16, 43), "");
 }
 
-TEST(CompiledSim, BatchApiDrivesLanesIndependently) {
+TEST(CompiledPlan, BatchApiDrivesLanesIndependently) {
   NetlistBuilder b("lanes");
   const NetId x = b.in_port("x", 16);
   const NetId en = b.in_port("en", 1);
   b.out_port("acc", b.accum(x, en, b.zero(1), 16));
   const Netlist nl = std::move(b).take();
-  CompiledSim sim(nl);
-  const int x_in = sim.input_index("x");
-  const int en_in = sim.input_index("en");
-  const int acc_out = sim.output_index("acc");
+  const auto plan = SimPlan::compile(nl);
+  SimContext sim(plan);
+  const int x_in = plan->input_index("x");
+  const int en_in = plan->input_index("en");
+  const int acc_out = plan->output_index("acc");
 
-  std::uint64_t xs[CompiledSim::kLanes];
-  std::uint64_t ens[CompiledSim::kLanes];
-  for (std::size_t l = 0; l < CompiledSim::kLanes; ++l) {
+  std::uint64_t xs[SimContext::kLanes];
+  std::uint64_t ens[SimContext::kLanes];
+  for (std::size_t l = 0; l < SimContext::kLanes; ++l) {
     xs[l] = l + 1;
     ens[l] = l % 2;  // odd lanes accumulate, even lanes hold
   }
   sim.set_inputs(x_in, xs);
   sim.set_inputs(en_in, ens);
   sim.run(5);
-  std::uint64_t acc[CompiledSim::kLanes];
+  std::uint64_t acc[SimContext::kLanes];
   sim.get_outputs(acc_out, acc);
-  for (std::size_t l = 0; l < CompiledSim::kLanes; ++l) {
+  for (std::size_t l = 0; l < SimContext::kLanes; ++l) {
     EXPECT_EQ(acc[l], l % 2 == 1 ? 5 * (l + 1) : 0u) << "lane " << l;
   }
   EXPECT_EQ(sim.cycle(), 5u);
-  EXPECT_GT(sim.comb_ops(), 0u);
-  EXPECT_GT(sim.levels(), 0u);
+  EXPECT_GT(plan->comb_ops(), 0u);
+  EXPECT_GT(plan->levels(), 0u);
 }
 
-TEST(CompiledSim, DetectsCombinationalLoop) {
+TEST(CompiledPlan, DetectsCombinationalLoop) {
   Netlist nl("loop");
   const NetId n1 = nl.add_net(1);
   const NetId n2 = nl.add_net(1);
@@ -208,7 +210,7 @@ TEST(CompiledSim, DetectsCombinationalLoop) {
   nl.connect_output(a, 0, n1);
   nl.connect_input(b2, 0, n1);
   nl.connect_output(b2, 0, n2);
-  EXPECT_THROW(CompiledSim sim(nl), std::runtime_error);
+  EXPECT_THROW(SimPlan::compile(nl), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -219,34 +221,33 @@ struct FlowPair {
   CnnModel model;
   ModelImpl impl;
   std::vector<std::vector<int>> groups;
-  CheckpointDb db;
   ComposedDesign composed;
   Netlist flat;
 
   explicit FlowPair(CnnModel m, long dsp_budget, int max_tile = 28) : model(std::move(m)) {
     impl = choose_implementation(model, dsp_budget, max_tile);
     groups = default_grouping(model);
-    prepare_component_db(device, model, impl, groups, db);
-    run_preimpl_cnn(device, model, impl, groups, db, composed);
+    CheckpointStore store(StoreOptions{});
+    composed = CompileService(device, store).compile(model, impl, groups).design;
     flat = build_flat_netlist(model, impl, groups);
     PhysState phys;
     run_monolithic_flow(device, flat, phys);
   }
 };
 
-TEST(CompiledSim, LeNetBothFlowsMatchInterpreter) {
+TEST(CompiledPlan, LeNetBothFlowsMatchInterpreter) {
   FlowPair f(make_lenet5(), 16);
   EXPECT_EQ(compare_compiled_vs_interpreter(f.composed.netlist, 32, 1001), "");
   EXPECT_EQ(compare_compiled_vs_interpreter(f.flat, 32, 1002), "");
 }
 
-TEST(CompiledSim, ResblockBothFlowsMatchInterpreter) {
+TEST(CompiledPlan, ResblockBothFlowsMatchInterpreter) {
   FlowPair f(make_resblock_net(), 16);
   EXPECT_EQ(compare_compiled_vs_interpreter(f.composed.netlist, 32, 1003), "");
   EXPECT_EQ(compare_compiled_vs_interpreter(f.flat, 32, 1004), "");
 }
 
-TEST(CompiledSim, Vgg16BothFlowsMatchInterpreter) {
+TEST(CompiledPlan, Vgg16BothFlowsMatchInterpreter) {
   // Bounded random stimulus, sampled lanes: the full interpreter replay of
   // all 64 lanes on VGG is exactly the cost this simulator exists to avoid.
   FlowPair f(make_vgg16(), 384, 14);
@@ -255,21 +256,21 @@ TEST(CompiledSim, Vgg16BothFlowsMatchInterpreter) {
   EXPECT_EQ(compare_compiled_vs_interpreter(f.flat, 12, 1006, lanes), "");
 }
 
-TEST(CompiledSim, ResblockBatchInferenceBitMatchesGoldenAndInterpreter) {
+TEST(CompiledPlan, ResblockBatchInferenceBitMatchesGoldenAndInterpreter) {
   // 64 different input tensors at once through the composed resblock; every
   // lane must reproduce the golden DFG reference, and lane 17 is replayed
   // through the interpreter's stream harness as the oracle spot-check.
   FlowPair f(make_resblock_net(), 16);
-  std::vector<std::vector<Fixed16>> inputs(CompiledSim::kLanes);
-  std::vector<std::vector<Fixed16>> expected(CompiledSim::kLanes);
-  for (std::size_t l = 0; l < CompiledSim::kLanes; ++l) {
+  std::vector<std::vector<Fixed16>> inputs(SimContext::kLanes);
+  std::vector<std::vector<Fixed16>> expected(SimContext::kLanes);
+  for (std::size_t l = 0; l < SimContext::kLanes; ++l) {
     const Tensor t = random_tensor(2, 8, 8, 2000 + l);
     inputs[l] = t.data;
     expected[l] = reference_inference(f.model, t);
   }
-  CompiledSim cs(f.composed.netlist);
+  SimContext cs(SimPlan::compile(f.composed.netlist));
   const auto out = run_stream_batch(cs, inputs, expected[0].size());
-  for (std::size_t l = 0; l < CompiledSim::kLanes; ++l) {
+  for (std::size_t l = 0; l < SimContext::kLanes; ++l) {
     ASSERT_EQ(out[l].size(), expected[l].size());
     for (std::size_t i = 0; i < out[l].size(); ++i) {
       ASSERT_EQ(out[l][i].raw, expected[l][i].raw) << "lane " << l << " word " << i;
@@ -282,7 +283,7 @@ TEST(CompiledSim, ResblockBatchInferenceBitMatchesGoldenAndInterpreter) {
   testhelpers::expect_tensor_eq(interp, out[17]);
 }
 
-TEST(CompiledSim, MiniChainBatchInferenceMatchesGolden) {
+TEST(CompiledPlan, MiniChainBatchInferenceMatchesGolden) {
   // The small conv->pool+relu->conv chain from the flow tests, flat
   // (monolithic) this time, full inference on all 64 lanes.
   const CnnModel model = parse_arch_def(R"(network mini
@@ -298,16 +299,16 @@ conv c2 out=2 k=3
   const Device device = make_xcku5p_sim();
   run_monolithic_flow(device, flat, phys);
 
-  std::vector<std::vector<Fixed16>> inputs(CompiledSim::kLanes);
-  std::vector<std::vector<Fixed16>> expected(CompiledSim::kLanes);
-  for (std::size_t l = 0; l < CompiledSim::kLanes; ++l) {
+  std::vector<std::vector<Fixed16>> inputs(SimContext::kLanes);
+  std::vector<std::vector<Fixed16>> expected(SimContext::kLanes);
+  for (std::size_t l = 0; l < SimContext::kLanes; ++l) {
     const Tensor t = random_tensor(2, 8, 8, 3000 + l);
     inputs[l] = t.data;
     expected[l] = reference_inference(model, t);
   }
-  CompiledSim cs(flat);
+  SimContext cs(SimPlan::compile(flat));
   const auto out = run_stream_batch(cs, inputs, expected[0].size());
-  for (std::size_t l = 0; l < CompiledSim::kLanes; ++l) {
+  for (std::size_t l = 0; l < SimContext::kLanes; ++l) {
     ASSERT_EQ(out[l].size(), expected[l].size());
     for (std::size_t i = 0; i < out[l].size(); ++i) {
       ASSERT_EQ(out[l][i].raw, expected[l][i].raw) << "lane " << l << " word " << i;
