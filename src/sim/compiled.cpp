@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <limits>
 #include <queue>
 #include <stdexcept>
 
@@ -20,6 +22,19 @@ std::uint64_t width_mask(int width) {
 }
 
 std::atomic<std::uint64_t> g_plans_compiled{0};
+
+// Plan tables address the arena, pipes and memories with 32-bit offsets; a
+// wrapped offset would silently alias two memories, so it fails the
+// compile instead.
+std::uint32_t checked_offset(std::size_t value, const char* what, const Cell& cell,
+                             CellId id) {
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::runtime_error("compiled sim: " + std::string(what) + " " +
+                             std::to_string(value) + " of cell '" + cell.name + "' (#" +
+                             std::to_string(id) + ") exceeds the 32-bit offset range");
+  }
+  return static_cast<std::uint32_t>(value);
+}
 
 }  // namespace
 
@@ -43,8 +58,12 @@ SimPlan::SimPlan(const Netlist& netlist) : name_(netlist.name()) {
       ++hidden;
     }
   }
-  const auto zero_slot = static_cast<std::uint32_t>((net_count_ + hidden) * kLanes);
   const std::size_t state_elems = (net_count_ + hidden + 1) * kLanes;
+  if (state_elems > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::runtime_error("compiled sim: net state of '" + name_ +
+                             "' exceeds the 32-bit offset range");
+  }
+  const auto zero_slot = static_cast<std::uint32_t>((net_count_ + hidden) * kLanes);
 
   const auto pin_slot = [&](const Cell& cell, std::size_t pin) -> std::uint32_t {
     if (pin >= cell.inputs.size() || cell.inputs[pin] == kInvalidNet) return zero_slot;
@@ -212,7 +231,7 @@ SimPlan::SimPlan(const Netlist& netlist) : name_(netlist.name()) {
   // lane-invariant contents, so one copy lives in the PLAN and is shared
   // by every context (a VGG coefficient set would otherwise cost 64x per
   // context); writable memories get a lane-major copy in each context's
-  // arena.
+  // writable-memory block.
   std::size_t pipe_words = 0;
   std::size_t rom_words = 0;
   std::size_t wmem_words = 0;
@@ -226,7 +245,7 @@ SimPlan::SimPlan(const Netlist& netlist) : name_(netlist.name()) {
     sq.width = cell.width;
     sq.mask = width_mask(cell.width);
     sq.depth = static_cast<std::uint32_t>(seq_pipe_depth(cell));
-    sq.pipe_base = static_cast<std::uint32_t>(pipe_words);
+    sq.pipe_base = checked_offset(pipe_words, "pipe base", cell, c);
     pipe_words += sq.depth * kLanes;
 
     switch (cell.type) {
@@ -250,10 +269,10 @@ SimPlan::SimPlan(const Netlist& netlist) : name_(netlist.name()) {
         sq.mem_depth = cell.bram_depth;
         sq.mem_shared = !sq.has_we;
         if (sq.mem_shared) {
-          sq.mem_base = static_cast<std::uint32_t>(rom_words);
+          sq.mem_base = checked_offset(rom_words, "ROM base", cell, c);
           rom_words += sq.mem_depth;
         } else {
-          sq.mem_base = static_cast<std::uint32_t>(wmem_words);
+          sq.mem_base = checked_offset(wmem_words, "writable-memory base", cell, c);
           wmem_words += static_cast<std::size_t>(sq.mem_depth) * kLanes;
         }
         break;
@@ -327,8 +346,8 @@ SimPlan::SimPlan(const Netlist& netlist) : name_(netlist.name()) {
   layout_.pipe = layout_.state + align_elems(layout_.state_elems, elem_bytes);
   layout_.next = layout_.pipe + align_elems(layout_.pipe_elems, elem_bytes);
   layout_.ring = layout_.next + align_elems(layout_.next_elems, elem_bytes);
-  layout_.wmem = layout_.ring + align_elems(layout_.ring_elems, elem_bytes);
-  layout_.total = layout_.wmem + align_elems(layout_.wmem_elems, elem_bytes);
+  layout_.arena = layout_.ring + align_elems(layout_.ring_elems, elem_bytes);
+  layout_.total = layout_.arena + align_elems(layout_.wmem_elems, elem_bytes);
 
   if (narrow_) {
     build_init_images<std::uint32_t>(netlist);
@@ -347,11 +366,7 @@ void SimPlan::build_init_images(const Netlist& netlist) {
   auto& rom = [this]() -> std::vector<W>& {
     if constexpr (kNarrowW) return rom32_; else return rom64_;
   }();
-  auto& init_wmem = [this]() -> std::vector<W>& {
-    if constexpr (kNarrowW) return init_wmem32_; else return init_wmem64_;
-  }();
   init_state.assign(layout_.state_elems, 0);
-  init_wmem.assign(layout_.wmem_elems, 0);
 
   // Fold constants into the initial state image; they never change, so
   // contexts inherit them on construction and reset.
@@ -365,8 +380,9 @@ void SimPlan::build_init_images(const Netlist& netlist) {
     }
   }
 
-  // ROM preloads: read-only memories into the shared plan image, writable
-  // ROM-initialized memories into the per-context initial image.
+  // ROM preloads: read-only memories into the shared plan image, nonzero
+  // rows of writable ROM-initialized memories into the sparse preload
+  // list (sorted: memories and their rows are visited in offset order).
   std::size_t rom_total = 0;
   for (const SeqOp& sq : seq_) {
     if (sq.mem_shared) rom_total += sq.mem_depth;
@@ -380,11 +396,11 @@ void SimPlan::build_init_images(const Netlist& netlist) {
     if (cell.type != CellType::kBram || cell.rom_id < 0) continue;
     const auto& image = netlist.rom(cell.rom_id);
     for (std::size_t i = 0; i < sq.mem_depth && i < image.size(); ++i) {
-      const W v = static_cast<W>(mask_width(image[i], cell.width));
+      const std::uint64_t v = mask_width(image[i], cell.width);
       if (sq.mem_shared) {
-        rom[sq.mem_base + i] = v;
-      } else {
-        std::fill_n(&init_wmem[sq.mem_base + i * kLanes], kLanes, v);
+        rom[sq.mem_base + i] = static_cast<W>(v);
+      } else if (v != 0) {
+        preloads_.push_back({sq.mem_base + i * kLanes, v});
       }
     }
   }
@@ -404,13 +420,20 @@ int SimPlan::output_index(const std::string& name) const {
   throw std::runtime_error("compiled sim: no output port '" + name + "'");
 }
 
-SimContext::SimContext(std::shared_ptr<const SimPlan> plan) : plan_(std::move(plan)) {
+SimContext::SimContext(std::shared_ptr<const SimPlan> plan)
+    : plan_(std::move(plan)),
+      wmem_(plan_->layout_.wmem_elems * plan_->lane_bytes()) {
   const SimPlan& p = *plan_;
+  const std::size_t pages =
+      (p.layout_.wmem_elems + SimPlan::kPageElems - 1) / SimPlan::kPageElems;
+  dirty_pages_.assign((pages + 63) / 64, 0);
   if (p.narrow_) {
-    arena32_.resize(p.layout_.total);
+    arena32_.resize(p.layout_.arena);
+    apply_preloads<std::uint32_t>(0, p.layout_.wmem_elems);
     reset_impl<std::uint32_t>();
   } else {
-    arena64_.resize(p.layout_.total);
+    arena64_.resize(p.layout_.arena);
+    apply_preloads<std::uint64_t>(0, p.layout_.wmem_elems);
     reset_impl<std::uint64_t>();
   }
 }
@@ -424,20 +447,41 @@ void SimContext::reset() {
 template <typename W>
 void SimContext::reset_impl() {
   const SimPlan& p = *plan_;
-  // Re-image state + writable memories, flush pipes and scratch — all into
-  // the existing arena, no reallocation (the serving engine resets a
-  // context per batch).
+  // Re-image state, flush pipes and scratch, and restore only the
+  // writable-memory pages written since the last reset — all in place, no
+  // reallocation (the serving engine resets a context per batch).
   const auto& init_state = p.init_state_vec<W>();
   std::copy(init_state.begin(), init_state.end(), state_base<W>());
   std::fill_n(pipe_base<W>(), p.layout_.pipe_elems, W{0});
   std::fill_n(next_base<W>(), p.layout_.next_elems, W{0});
   std::fill_n(ring_base<W>(), p.layout_.ring_elems, W{0});
-  const auto& init_wmem = p.init_wmem_vec<W>();
-  std::copy(init_wmem.begin(), init_wmem.end(), wmem_base<W>());
+  W* wmem = wmem_base<W>();
+  for (std::size_t word = 0; word < dirty_pages_.size(); ++word) {
+    for (std::uint64_t bits = dirty_pages_[word]; bits != 0; bits &= bits - 1) {
+      const std::size_t page = word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      const std::size_t begin = page * SimPlan::kPageElems;
+      const std::size_t end = std::min(begin + SimPlan::kPageElems, p.layout_.wmem_elems);
+      std::fill(wmem + begin, wmem + end, W{0});
+      apply_preloads<W>(begin, end);
+    }
+    dirty_pages_[word] = 0;
+  }
   seq_head_.assign(p.seq_.size(), 0);
   seq_en_.assign(p.seq_.size(), 0);
   cycle_ = 0;
   settle();
+}
+
+template <typename W>
+void SimContext::apply_preloads(std::size_t begin, std::size_t end) {
+  const auto& preloads = plan_->preloads_;
+  auto it = std::lower_bound(
+      preloads.begin(), preloads.end(), begin,
+      [](const SimPlan::Preload& row, std::size_t at) { return row.offset < at; });
+  W* wmem = wmem_base<W>();
+  for (; it != preloads.end() && it->offset < end; ++it) {
+    std::fill_n(wmem + it->offset, kLanes, static_cast<W>(it->value));
+  }
 }
 
 void SimContext::set_inputs(int input, std::span<const std::uint64_t> lanes) {
@@ -730,6 +774,7 @@ void SimContext::step_impl() {
   W* seq_next = next_base<W>();
   W* ring_scratch = ring_base<W>();
   W* wmem_state = wmem_base<W>();
+  std::uint64_t* dirty = dirty_pages_.data();
   const W* rom_state = p.rom_vec<W>().data();
 
   // Phase 1: capture next values and enables for every sequential op.
@@ -781,8 +826,10 @@ void SimContext::step_impl() {
           const W mask = static_cast<W>(sq.mask);
           for (std::size_t l = 0; l < kLanes; ++l) {
             if ((we[l] & 1) != 0 && waddr[l] < sq.mem_depth) {
-              wmem_state[sq.mem_base + waddr[l] * kLanes + l] =
-                  static_cast<W>(wdata[l] & mask);
+              const std::size_t at = sq.mem_base + waddr[l] * kLanes + l;
+              wmem_state[at] = static_cast<W>(wdata[l] & mask);
+              const std::size_t page = at / SimPlan::kPageElems;
+              dirty[page / 64] |= 1ULL << (page % 64);
             }
           }
         }

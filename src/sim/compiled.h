@@ -14,21 +14,27 @@
 //     single flat arena (lane-major: slot = net * kLanes + lane), so each
 //     op kernel is a tight 64-iteration loop the compiler vectorizes;
 //   - sequential state (FF/SRL pipes, DSP pipeline stages, BRAM
-//     memories) is packed into the same arena, laid out at compile time —
-//     read-only BRAMs (ROMs) keep a single copy in the PLAN, shared by
-//     every context (a VGG weight set is ~hundreds of MB; contexts stay
-//     a few MB each);
+//     memories) is laid out at compile time — read-only BRAMs (ROMs) keep
+//     a single copy in the PLAN, shared by every context (a VGG weight set
+//     is ~hundreds of MB); writable BRAMs get a private lane-major copy in
+//     each context, which for VGG is ~447 MB of mostly untouched rows;
 //   - constant cells are folded into the plan's initial state image and
 //     dropped from the schedule.
 //
 // The plan/state split is what makes traffic-scale serving cheap: compile
-// once, then instantiate N contexts whose construction cost is one arena
-// allocation plus an initial-image copy — no re-levelization. Contexts are
-// fully independent (the plan is immutable after compile), so N of them
-// can run on N threads with no synchronization; each context's arena is
-// cache-line aligned so parallel contexts never false-share. reset()
-// returns a context to the plan's initial state *reusing* its arena
-// allocation — the per-batch path of src/sim/engine allocates nothing.
+// once, then instantiate N contexts with no re-levelization. A context's
+// cost tracks the memory rows it writes, not the size of its memories:
+// writable memories come from a zero-filled allocation whose untouched
+// pages the OS maps lazily, and the plan keeps only a sparse list of
+// ROM-preloaded writable rows (applied once at construction). Contexts
+// are fully independent (the plan is immutable after compile), so N of
+// them can run on N threads with no synchronization; each context's
+// storage is cache-line aligned so parallel contexts never false-share.
+// reset() returns a context to the plan's initial state reusing its
+// allocations: the small net/pipe sections are re-imaged in full, and of
+// the writable memories only the fixed-size pages written since the last
+// reset are zeroed and re-preloaded — the per-batch path of src/sim/engine
+// allocates nothing and pays for the rows a batch touched.
 //
 // Semantics are pinned by the sim/eval.h contract; the interpreter stays
 // the A/B oracle (see compare_compiled_vs_interpreter and
@@ -49,7 +55,8 @@
 namespace fpgasim {
 
 /// Immutable compiled execution plan: levelized schedule, slot layout,
-/// port tables, shared ROM images and the initial state image. Thread-safe
+/// port tables, shared ROM images, the initial state image and the sparse
+/// writable-memory preloads. Thread-safe
 /// to share (const after construction); one plan serves any number of
 /// concurrent SimContexts.
 class SimPlan {
@@ -93,8 +100,8 @@ class SimPlan {
   std::size_t lane_bytes() const { return narrow_ ? 4 : 8; }
   /// Elements held once in the plan and shared by all contexts (ROMs).
   std::size_t shared_words() const { return rom32_.size() + rom64_.size(); }
-  /// Arena elements each context owns privately (nets + pipes + writable
-  /// memories + scratch).
+  /// Lane elements each context owns privately (nets + pipes + scratch +
+  /// writable memories, whether or not their pages are resident).
   std::size_t context_words() const { return layout_.total; }
   /// Nets in the compiled design (slot = net * kLanes + lane).
   std::size_t net_count() const { return net_count_; }
@@ -126,7 +133,8 @@ class SimPlan {
   // (seq_head_[i] + s) % depth, so an all-lanes-enabled commit is O(1)
   // like the interpreter's deque rotate instead of an O(depth) shift.
   // kBram additionally owns a memory region: lane-shared ROMs live in the
-  // plan (rom32_/rom64_), writable memories in the context arena.
+  // plan (rom32_/rom64_), writable memories in the context's zeroed
+  // writable-memory block.
   struct SeqOp {
     CellType type = CellType::kFf;
     bool has_ce = false;
@@ -151,16 +159,31 @@ class SimPlan {
 
   // Per-context arena layout, element offsets (lane words). Every section
   // starts on a cache-line boundary so two contexts — and the hot state /
-  // pipe sections within one — never straddle a shared line.
+  // pipe sections within one — never straddle a shared line. Writable BRAM
+  // contents live in a separate zeroed allocation of wmem_elems.
   struct ArenaLayout {
     std::size_t state = 0;  // net values + hidden DSP slots + zero group
     std::size_t pipe = 0;   // ring-buffer pipes
     std::size_t next = 0;   // phase-1 capture scratch
     std::size_t ring = 0;   // CE-divergence normalize scratch
-    std::size_t wmem = 0;   // writable BRAM contents
-    std::size_t total = 0;
+    std::size_t arena = 0;  // end of the arena sections
+    std::size_t total = 0;  // arena + writable memories (context_words)
     std::size_t state_elems = 0, pipe_elems = 0, next_elems = 0, ring_elems = 0,
                 wmem_elems = 0;
+  };
+
+  // Writable memory is tracked for reset in pages of kPageRows rows (all
+  // lanes), indexed from the start of the writable-memory block; a page
+  // may straddle two memories.
+  static constexpr std::size_t kPageRows = 16;
+  static constexpr std::size_t kPageElems = kPageRows * kLanes;
+
+  // One ROM-preloaded row of a writable BRAM: `value` in every lane of the
+  // row starting at writable-memory element `offset`. Zero rows are
+  // omitted (the block starts zeroed).
+  struct Preload {
+    std::size_t offset = 0;
+    std::uint64_t value = 0;
   };
 
   template <typename W> void build_init_images(const Netlist& netlist);
@@ -169,9 +192,6 @@ class SimPlan {
   }
   template <typename W> const std::vector<W>& init_state_vec() const {
     if constexpr (sizeof(W) == 4) return init_state32_; else return init_state64_;
-  }
-  template <typename W> const std::vector<W>& init_wmem_vec() const {
-    if constexpr (sizeof(W) == 4) return init_wmem32_; else return init_wmem64_;
   }
 
   std::vector<CombOp> ops_;            // levelized order
@@ -189,9 +209,8 @@ class SimPlan {
   // Shared read-only memories (ROMs), one copy for every context.
   std::vector<std::uint32_t> rom32_;
   std::vector<std::uint64_t> rom64_;
-  // Initial contents of writable memories (ROM-preloaded, else zero).
-  std::vector<std::uint32_t> init_wmem32_;
-  std::vector<std::uint64_t> init_wmem64_;
+  // Nonzero initial rows of writable memories, sorted by offset.
+  std::vector<Preload> preloads_;
 
   std::vector<PortPlan> inputs_;
   std::vector<PortPlan> outputs_;
@@ -204,8 +223,9 @@ class SimPlan {
 
 /// One evaluation context over a shared plan: the mutable lane state. The
 /// construction cost is state-only (one cache-aligned arena allocation +
-/// the plan's initial-image copy); reset() reuses the allocation. Not
-/// thread-safe per instance — use one context per worker.
+/// the plan's initial-image copy, and one zeroed writable-memory block +
+/// its preloads); reset() reuses both. Not thread-safe per instance — use
+/// one context per worker.
 class SimContext {
  public:
   static constexpr std::size_t kLanes = SimPlan::kLanes;
@@ -215,8 +235,10 @@ class SimContext {
   const SimPlan& plan() const { return *plan_; }
   const std::shared_ptr<const SimPlan>& plan_ptr() const { return plan_; }
 
-  /// Returns to the plan's initial state (cycle 0, pipes flushed, writable
-  /// memories re-imaged) without reallocating the arena.
+  /// Returns to the plan's initial state (cycle 0, pipes flushed, nets
+  /// re-imaged, writable-memory pages written since the last reset zeroed
+  /// and re-preloaded) without reallocating. Costs the small sections plus
+  /// the dirty pages, independent of total memory size.
   void reset();
   /// Number of reset() calls since construction (engine telemetry).
   std::size_t resets() const { return resets_; }
@@ -273,6 +295,8 @@ class SimContext {
   // whole fabric.
   void settle_if_dirty() const;
   template <typename W> void reset_impl();
+  // Writes the plan's preloaded rows in writable-memory range [begin, end).
+  template <typename W> void apply_preloads(std::size_t begin, std::size_t end);
   template <typename W> void settle_impl(const std::vector<SimPlan::CombOp>& ops) const;
   template <typename W> void step_impl();
   template <typename W> void eval_op(const SimPlan::CombOp& op) const;
@@ -292,15 +316,19 @@ class SimContext {
   template <typename W> W* pipe_base() const { return arena<W>() + plan_->layout_.pipe; }
   template <typename W> W* next_base() const { return arena<W>() + plan_->layout_.next; }
   template <typename W> W* ring_base() const { return arena<W>() + plan_->layout_.ring; }
-  template <typename W> W* wmem_base() const { return arena<W>() + plan_->layout_.wmem; }
+  template <typename W> W* wmem_base() const { return wmem_.as<W>(); }
 
   std::shared_ptr<const SimPlan> plan_;
   // One cache-aligned allocation per context: net state, pipes, capture
-  // scratch, ring scratch and writable memories, each section itself
-  // cache-line aligned (exactly one of the two is allocated, by lane
-  // width). Logically const-observable: reads settle pending inputs first.
+  // scratch and ring scratch, each section itself cache-line aligned
+  // (exactly one of the two is allocated, by lane width). Logically
+  // const-observable: reads settle pending inputs first.
   CacheAlignedVector<std::uint32_t> arena32_;
   CacheAlignedVector<std::uint64_t> arena64_;
+  // Writable BRAM contents (lane words of the plan's width) and one bit
+  // per kPageRows page written since the last reset.
+  ZeroedBuffer wmem_;
+  std::vector<std::uint64_t> dirty_pages_;
   std::vector<std::uint32_t> seq_head_;  // ring head (physical slot of logical 0)
   std::vector<std::uint64_t> seq_en_;    // phase-1 enable bitmasks (bit = lane)
   mutable bool dirty_ = false;

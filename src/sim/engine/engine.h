@@ -45,7 +45,8 @@ struct EngineOptions {
   /// integer, else the serving pool's width. Clamped to [1, 64].
   std::size_t contexts = 0;
   /// Clock cycles per shard; one shard serves kLanes * cycles_per_batch
-  /// vectors. Larger batches amortize the context reset.
+  /// vectors. A reset re-images the small net/pipe state and the memory
+  /// pages the batch wrote, so larger batches amortize only that.
   int cycles_per_batch = 32;
   /// Interpreter A/B audit every N-th shard (rotating lane). 0 disables.
   std::size_t check_every = 64;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -50,5 +51,29 @@ inline constexpr std::size_t align_elems(std::size_t count, std::size_t elem_byt
   const std::size_t per_line = kCacheLineBytes / elem_bytes;
   return (count + per_line - 1) / per_line * per_line;
 }
+
+/// Zero-filled, cache-line-aligned byte block for large, sparsely written
+/// state. calloc hands large blocks out as fresh anonymous mappings, so
+/// pages nobody writes cost neither fill time nor resident memory; the
+/// block is over-allocated by one line and the pointer rounded up to it.
+class ZeroedBuffer {
+ public:
+  explicit ZeroedBuffer(std::size_t bytes)
+      : raw_(std::calloc(bytes + kCacheLineBytes, 1)) {
+    if (raw_ == nullptr) throw std::bad_alloc();
+  }
+  ~ZeroedBuffer() { std::free(raw_); }
+  ZeroedBuffer(const ZeroedBuffer&) = delete;
+  ZeroedBuffer& operator=(const ZeroedBuffer&) = delete;
+
+  template <typename T>
+  T* as() const {
+    const auto p = reinterpret_cast<std::uintptr_t>(raw_);
+    return reinterpret_cast<T*>((p + kCacheLineBytes - 1) & ~(kCacheLineBytes - 1));
+  }
+
+ private:
+  void* raw_;
+};
 
 }  // namespace fpgasim

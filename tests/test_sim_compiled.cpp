@@ -5,6 +5,9 @@
 // LeNet / VGG-16 / resblock designs through both flows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "flow/preimpl.h"
 #include "flow/service.h"
 #include "sim/compiled.h"
+#include "sim/simulator.h"
 #include "stream_harness.h"
 #include "synth/builder.h"
 #include "util/rng.h"
@@ -211,6 +215,186 @@ TEST(CompiledPlan, DetectsCombinationalLoop) {
   nl.connect_input(b2, 0, n1);
   nl.connect_output(b2, 0, n2);
   EXPECT_THROW(SimPlan::compile(nl), std::runtime_error);
+}
+
+TEST(CompiledPlan, RejectsMemoryOffsetsBeyond32Bits) {
+  // 2^26 rows x 64 lanes fill the 32-bit writable-memory offset space
+  // exactly, so the second memory's base would wrap to 0 and alias the
+  // first. The plan holds no dense memory image, so this costs nothing.
+  NetlistBuilder b("huge");
+  const NetId addr = b.in_port("addr", 32);
+  const NetId wdata = b.in_port("wdata", 8);
+  const NetId we = b.in_port("we", 1);
+  b.out_port("q0", b.bram(addr, wdata, we, 1u << 26, 8, -1, "first_mem"));
+  b.out_port("q1", b.bram(addr, wdata, we, 16, 8, -1, "second_mem"));
+  const Netlist nl = std::move(b).take();
+  try {
+    SimPlan plan(nl);
+    FAIL() << "plan compiled with a wrapped memory offset";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("second_mem"), std::string::npos) << e.what();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Writable memories across reset(): a context only restores the pages it
+// wrote, so reuse must be indistinguishable from a fresh context.
+
+// Drives `cycles` cycles of seeded random stimulus on every input port and
+// lane; returns every output after each edge.
+std::vector<std::uint64_t> drive_random(SimContext& ctx, int cycles, std::uint64_t seed) {
+  const SimPlan& plan = ctx.plan();
+  Rng rng(seed);
+  std::vector<std::uint64_t> frame(plan.input_count() * SimContext::kLanes);
+  std::vector<std::uint64_t> out(plan.output_count() * SimContext::kLanes);
+  std::vector<std::uint64_t> trace;
+  for (int c = 0; c < cycles; ++c) {
+    for (std::uint64_t& word : frame) word = rng();
+    ctx.set_input_frame(frame);
+    ctx.step();
+    ctx.get_output_frame(out);
+    trace.insert(trace.end(), out.begin(), out.end());
+  }
+  return trace;
+}
+
+// A context dirtied by one stimulus and reset behaves exactly like a fresh
+// one on an identical second stimulus: same outputs every cycle, same
+// full-datapath digest.
+void expect_reset_matches_fresh(const std::shared_ptr<const SimPlan>& plan,
+                                std::uint64_t seed) {
+  SimContext reused(plan);
+  drive_random(reused, 64, seed);
+  reused.reset();
+  SimContext fresh(plan);
+  EXPECT_EQ(drive_random(reused, 64, seed + 1), drive_random(fresh, 64, seed + 1));
+  EXPECT_EQ(reused.state_digest(), fresh.state_digest());
+}
+
+TEST(CompiledPlan, ResetRestoresWritableMemoriesAcrossPages) {
+  // A ROM-preloaded writable memory (37 rows) and a zero-initialized one
+  // (100 rows): together 137 rows, several reset pages ending in a
+  // partial one, with a page straddling the boundary between them.
+  constexpr std::uint32_t kRows0 = 37;
+  constexpr std::uint32_t kRows1 = 100;
+  NetlistBuilder b("wmem_reset");
+  const NetId waddr = b.in_port("waddr", 7);
+  const NetId wdata = b.in_port("wdata", 16);
+  const NetId we = b.in_port("we", 1);
+  const NetId raddr = b.in_port("raddr", 7);
+  Rng image_rng(77);
+  std::vector<std::uint64_t> image(kRows0);
+  for (auto& word : image) word = image_rng() | 1;  // nonzero after masking
+  b.out_port("q0", b.bram(waddr, wdata, we, kRows0, 16, b.rom(image), {}, raddr));
+  b.out_port("q1", b.bram(waddr, wdata, we, kRows1, 16, -1, {}, raddr));
+  const Netlist nl = std::move(b).take();
+  ASSERT_TRUE(nl.validate().empty());
+  const auto plan = SimPlan::compile(nl);
+
+  // Reads rows 0..kRows1 (the last one out of range) in every lane with
+  // writes off: q0 and q1 for each lane, row-major.
+  const auto sweep = [&](SimContext& ctx) {
+    std::vector<std::uint64_t> rows;
+    std::uint64_t q[SimContext::kLanes];
+    for (std::uint32_t row = 0; row <= kRows1; ++row) {
+      ctx.set_inputs(plan->input_index("we"), 0);
+      ctx.set_inputs(plan->input_index("raddr"), row);
+      ctx.step();
+      for (const char* port : {"q0", "q1"}) {
+        ctx.get_outputs(port, q);
+        rows.insert(rows.end(), q, q + SimContext::kLanes);
+      }
+    }
+    return rows;
+  };
+
+  SimContext reused(plan);
+  drive_random(reused, 64, 501);  // random writes in every lane
+  SimContext fresh(plan);
+  const std::vector<std::uint64_t> want = sweep(fresh);
+  const std::vector<std::uint64_t> dirty = sweep(reused);
+  // Every in-range row was written in some lane, so the reset has work on
+  // every page.
+  for (std::uint32_t row = 0; row < kRows1; ++row) {
+    for (int mem = 0; mem < 2; ++mem) {
+      if (mem == 0 && row >= kRows0) continue;
+      const std::size_t at = (row * 2 + static_cast<std::size_t>(mem)) * SimContext::kLanes;
+      EXPECT_FALSE(std::equal(want.begin() + static_cast<std::ptrdiff_t>(at),
+                              want.begin() + static_cast<std::ptrdiff_t>(at + SimContext::kLanes),
+                              dirty.begin() + static_cast<std::ptrdiff_t>(at)))
+          << "row " << row << " of memory " << mem << " never written";
+    }
+  }
+
+  reused.reset();
+  const std::vector<std::uint64_t> got = sweep(reused);
+  ASSERT_EQ(got, want);
+  Simulator sim(nl);
+  sim.set_input("we", 0);
+  for (std::uint32_t row = 0; row <= kRows1; ++row) {
+    sim.set_input("raddr", row);
+    sim.step();
+    const std::uint64_t q0 = sim.get_output("q0");
+    const std::uint64_t q1 = sim.get_output("q1");
+    EXPECT_EQ(q0, row < kRows0 ? image[row] & 0xffff : 0) << "row " << row;
+    for (std::size_t l = 0; l < SimContext::kLanes; ++l) {
+      ASSERT_EQ(got[(row * 2) * SimContext::kLanes + l], q0) << "row " << row << " lane " << l;
+      ASSERT_EQ(got[(row * 2 + 1) * SimContext::kLanes + l], q1) << "row " << row << " lane " << l;
+    }
+  }
+
+  expect_reset_matches_fresh(plan, 502);
+}
+
+// Memory-heavy netlists: writable BRAMs with and without ROM preloads
+// (full or partial images), depths up to 100 rows so one memory spans
+// several reset pages, single- and dual-port, with read values feeding
+// other memories' addresses and data.
+Netlist random_memory_netlist(std::uint64_t seed) {
+  Rng rng(seed);
+  NetlistBuilder b("memfuzz" + std::to_string(seed));
+  std::vector<NetId> addrs;
+  std::vector<NetId> data;
+  for (int i = 0; i < 2; ++i) addrs.push_back(b.in_port("a" + std::to_string(i), 7));
+  for (int i = 0; i < 2; ++i) {
+    data.push_back(b.in_port("d" + std::to_string(i),
+                             static_cast<std::uint16_t>(1 + rng.next_below(24))));
+  }
+  const NetId we = b.in_port("we", 4);
+  const auto pick = [&](const std::vector<NetId>& pool) {
+    return pool[rng.next_below(pool.size())];
+  };
+
+  const int n_mems = 2 + static_cast<int>(rng.next_below(4));
+  for (int m = 0; m < n_mems; ++m) {
+    const auto depth = 1 + static_cast<std::uint32_t>(rng.next_below(100));
+    const auto width = static_cast<std::uint16_t>(1 + rng.next_below(24));
+    std::int32_t rom_id = -1;
+    if (rng.next_below(4) != 0) {
+      std::vector<std::uint64_t> words(1 + rng.next_below(depth));
+      for (auto& word : words) word = rng.next_below(3) != 0 ? rng() : 0;
+      rom_id = b.rom(std::move(words));
+    }
+    const NetId raddr = rng.next_below(2) != 0 ? pick(addrs) : kInvalidNet;
+    const NetId q = b.bram(pick(addrs), pick(data),
+                           b.bit(we, static_cast<int>(rng.next_below(4))), depth, width,
+                           rom_id, {}, raddr);
+    b.out_port("q" + std::to_string(m), q);
+    data.push_back(q);
+    addrs.push_back(b.op2(LutOp::kXor, q, pick(addrs), 7));
+  }
+  return std::move(b).take();
+}
+
+TEST(CompiledPlan, PreloadedWritableMemoryFuzzMatchesInterpreterAndResets) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Netlist nl = random_memory_netlist(seed);
+    ASSERT_TRUE(nl.validate().empty());
+    const auto plan = SimPlan::compile(nl);
+    EXPECT_EQ(compare_compiled_vs_interpreter(nl, 64, 9000 + seed, {}, plan), "");
+    expect_reset_matches_fresh(plan, 9100 + seed);
+  }
 }
 
 // ---------------------------------------------------------------------------
