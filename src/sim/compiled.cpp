@@ -298,29 +298,6 @@ SimPlan::SimPlan(const Netlist& netlist) : name_(netlist.name()) {
     (port.dir == PortDir::kInput ? inputs_ : outputs_).push_back(plan);
   }
 
-  // Input cone: the subset of comb ops transitively downstream of input
-  // ports. After a clock edge the whole fabric is settled, and only
-  // set_inputs() can invalidate it — so the lazy pre-edge re-settle runs
-  // just these ops instead of the full schedule (the bulk of a datapath
-  // hangs off registers and memories, not directly off input pins).
-  {
-    std::vector<char> in_cone(state_elems / kLanes, 0);
-    for (const PortPlan& in : inputs_) in_cone[in.slot / kLanes] = 1;
-    for (const CombOp& op : ops_) {
-      bool hit = in_cone[op.a / kLanes] || in_cone[op.b / kLanes] ||
-                 in_cone[op.c / kLanes];
-      for (std::uint32_t j = 0; !hit && j < op.in_count; ++j) {
-        hit = in_cone[truth_inputs_[op.in_begin + j] / kLanes] != 0;
-      }
-      if (!hit) continue;
-      cone_ops_.push_back(op);
-      in_cone[op.out / kLanes] = 1;
-      for (std::uint32_t f = 0; f < op.fan_count; ++f) {
-        in_cone[fanout_[op.fan_begin + f] / kLanes] = 1;
-      }
-    }
-  }
-
   // Lane word selection: 32-bit lanes when every value in the design fits
   // (DSP MACs use 64-bit intermediates either way, so any shift is safe),
   // else the general 64-bit engine.
@@ -427,6 +404,7 @@ SimContext::SimContext(std::shared_ptr<const SimPlan> plan)
   const std::size_t pages =
       (p.layout_.wmem_elems + SimPlan::kPageElems - 1) / SimPlan::kPageElems;
   dirty_pages_.assign((pages + 63) / 64, 0);
+  changed_.assign(p.layout_.state_elems / kLanes, 0);
   if (p.narrow_) {
     arena32_.resize(p.layout_.arena);
     apply_preloads<std::uint32_t>(0, p.layout_.wmem_elems);
@@ -449,7 +427,9 @@ void SimContext::reset_impl() {
   const SimPlan& p = *plan_;
   // Re-image state, flush pipes and scratch, and restore only the
   // writable-memory pages written since the last reset — all in place, no
-  // reallocation (the serving engine resets a context per batch).
+  // reallocation (the serving engine resets a context per batch). Every
+  // group is stamped and the edge epoch cleared, so the first settle
+  // evaluates every op and the first edge captures every register.
   const auto& init_state = p.init_state_vec<W>();
   std::copy(init_state.begin(), init_state.end(), state_base<W>());
   std::fill_n(pipe_base<W>(), p.layout_.pipe_elems, W{0});
@@ -469,7 +449,10 @@ void SimContext::reset_impl() {
   seq_head_.assign(p.seq_.size(), 0);
   seq_en_.assign(p.seq_.size(), 0);
   cycle_ = 0;
-  settle();
+  std::fill(changed_.begin(), changed_.end(), epoch_);
+  dirty_ = true;
+  edge_epoch_ = 0;
+  settle_if_dirty();
 }
 
 template <typename W>
@@ -495,7 +478,7 @@ void SimContext::set_inputs(int input, std::span<const std::uint64_t> lanes) {
     std::uint64_t* v = state_base<std::uint64_t>() + port.slot;
     for (std::size_t l = 0; l < n; ++l) v[l] = lanes[l] & m;
   }
-  dirty_ = true;
+  stamp(port.slot);
 }
 
 void SimContext::set_inputs(int input, std::uint64_t value_all_lanes) {
@@ -507,7 +490,7 @@ void SimContext::set_inputs(int input, std::uint64_t value_all_lanes) {
   } else {
     std::fill_n(state_base<std::uint64_t>() + port.slot, kLanes, v);
   }
-  dirty_ = true;
+  stamp(port.slot);
 }
 
 void SimContext::set_input_frame(std::span<const std::uint64_t> frame) {
@@ -529,7 +512,7 @@ void SimContext::set_input_frame(std::span<const std::uint64_t> frame) {
       for (std::size_t l = 0; l < kLanes; ++l) v[l] = src[l] & m;
     }
   }
-  dirty_ = true;
+  for (const SimPlan::PortPlan& port : inputs) stamp(port.slot);
 }
 
 void SimContext::get_output_frame(std::span<std::uint64_t> frame) const {
@@ -592,7 +575,7 @@ std::uint64_t SimContext::state_digest() const {
 }
 
 template <typename W>
-void SimContext::eval_op(const SimPlan::CombOp& op) const {
+bool SimContext::eval_op(const SimPlan::CombOp& op) const {
   // Signed intermediates for compare/relu: 32-bit suffices for 32-bit
   // lanes (values are masked to <= 32 bits), 64-bit otherwise. The DSP
   // MAC always widens to 64-bit (see Op::kDsp below).
@@ -612,32 +595,39 @@ void SimContext::eval_op(const SimPlan::CombOp& op) const {
   W* o = state + op.out;
   const W m = static_cast<W>(op.mask);
   const int w = op.width;
+  // Every kernel stores through put(), which folds old ^ new into `diff`
+  // so change detection rides along in the same vectorized loop.
+  W diff = 0;
+  const auto put = [&](std::size_t l, W v) {
+    diff |= static_cast<W>(o[l] ^ v);
+    o[l] = v;
+  };
   switch (op.op) {
     case Op::kAnd:
-      for (std::size_t l = 0; l < kLanes; ++l) o[l] = static_cast<W>(a[l] & b[l] & m);
+      for (std::size_t l = 0; l < kLanes; ++l) put(l, static_cast<W>(a[l] & b[l] & m));
       break;
     case Op::kOr:
-      for (std::size_t l = 0; l < kLanes; ++l) o[l] = static_cast<W>((a[l] | b[l]) & m);
+      for (std::size_t l = 0; l < kLanes; ++l) put(l, static_cast<W>((a[l] | b[l]) & m));
       break;
     case Op::kXor:
-      for (std::size_t l = 0; l < kLanes; ++l) o[l] = static_cast<W>((a[l] ^ b[l]) & m);
+      for (std::size_t l = 0; l < kLanes; ++l) put(l, static_cast<W>((a[l] ^ b[l]) & m));
       break;
     case Op::kNot:
-      for (std::size_t l = 0; l < kLanes; ++l) o[l] = static_cast<W>(~a[l] & m);
+      for (std::size_t l = 0; l < kLanes; ++l) put(l, static_cast<W>(~a[l] & m));
       break;
     case Op::kMux2:
       for (std::size_t l = 0; l < kLanes; ++l) {
-        o[l] = static_cast<W>(((c[l] & 1) != 0 ? b[l] : a[l]) & m);
+        put(l, static_cast<W>(((c[l] & 1) != 0 ? b[l] : a[l]) & m));
       }
       break;
     case Op::kEq:
-      for (std::size_t l = 0; l < kLanes; ++l) o[l] = a[l] == b[l] ? 1 : 0;
+      for (std::size_t l = 0; l < kLanes; ++l) put(l, a[l] == b[l] ? 1 : 0);
       break;
     case Op::kLtU:
-      for (std::size_t l = 0; l < kLanes; ++l) o[l] = a[l] < b[l] ? 1 : 0;
+      for (std::size_t l = 0; l < kLanes; ++l) put(l, a[l] < b[l] ? 1 : 0);
       break;
     case Op::kPass:
-      for (std::size_t l = 0; l < kLanes; ++l) o[l] = static_cast<W>(a[l] & m);
+      for (std::size_t l = 0; l < kLanes; ++l) put(l, static_cast<W>(a[l] & m));
       break;
     case Op::kTruth6: {
       const std::uint32_t* tin = &plan_->truth_inputs_[op.in_begin];
@@ -647,26 +637,22 @@ void SimContext::eval_op(const SimPlan::CombOp& op) const {
         for (std::uint32_t j = 0; j < op.in_count; ++j) {
           index |= static_cast<std::uint64_t>(state[tin[j] + l] & 1) << j;
         }
-        o[l] = static_cast<W>((table >> index) & 1);
+        put(l, static_cast<W>((table >> index) & 1));
       }
       break;
     }
     case Op::kAdd:
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        o[l] = static_cast<W>((a[l] + b[l]) & m);
-      }
+      for (std::size_t l = 0; l < kLanes; ++l) put(l, static_cast<W>((a[l] + b[l]) & m));
       break;
     case Op::kSub:
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        o[l] = static_cast<W>((a[l] - b[l]) & m);
-      }
+      for (std::size_t l = 0; l < kLanes; ++l) put(l, static_cast<W>((a[l] - b[l]) & m));
       break;
     case Op::kMax: {
       const int k = kSWBits - w;
       for (std::size_t l = 0; l < kLanes; ++l) {
         const SW sa = sx(a[l], k);
         const SW sb = sx(b[l], k);
-        o[l] = static_cast<W>(static_cast<W>(sa >= sb ? sa : sb) & m);
+        put(l, static_cast<W>(static_cast<W>(sa >= sb ? sa : sb) & m));
       }
       break;
     }
@@ -674,7 +660,7 @@ void SimContext::eval_op(const SimPlan::CombOp& op) const {
       const int k = kSWBits - w;
       for (std::size_t l = 0; l < kLanes; ++l) {
         const SW sa = sx(a[l], k);
-        o[l] = static_cast<W>(static_cast<W>(sa > 0 ? sa : 0) & m);
+        put(l, static_cast<W>(static_cast<W>(sa > 0 ? sa : 0) & m));
       }
       break;
     }
@@ -686,8 +672,8 @@ void SimContext::eval_op(const SimPlan::CombOp& op) const {
           const std::int64_t prod =
               static_cast<std::int64_t>(static_cast<std::uint64_t>(a[l]) *
                                         static_cast<std::uint64_t>(b[l])) >> shift;
-          o[l] = static_cast<W>(static_cast<std::uint64_t>(prod) +
-                                static_cast<std::uint64_t>(c[l]));
+          put(l, static_cast<W>(static_cast<std::uint64_t>(prod) +
+                                static_cast<std::uint64_t>(c[l])));
         }
         break;
       }
@@ -709,7 +695,7 @@ void SimContext::eval_op(const SimPlan::CombOp& op) const {
           prod = prod > hi32 ? hi32 : prod < lo32 ? lo32 : prod;
           std::int32_t sum = prod + sc;
           sum = sum > hi32 ? hi32 : sum < lo32 ? lo32 : sum;
-          o[l] = static_cast<W>(static_cast<std::uint32_t>(sum) & op.mask);
+          put(l, static_cast<W>(static_cast<std::uint32_t>(sum) & op.mask));
         }
         break;
       }
@@ -733,30 +719,47 @@ void SimContext::eval_op(const SimPlan::CombOp& op) const {
         prod = prod > hi ? hi : prod < lo ? lo : prod;
         std::int64_t sum = prod + sc;
         sum = sum > hi ? hi : sum < lo ? lo : sum;
-        o[l] = static_cast<W>(static_cast<std::uint64_t>(sum) & op.mask);
+        put(l, static_cast<W>(static_cast<std::uint64_t>(sum) & op.mask));
       }
       break;
     }
   }
-  for (std::uint32_t f = 0; f < op.fan_count; ++f) {
-    std::copy_n(o, kLanes, state + plan_->fanout_[op.fan_begin + f]);
-  }
-}
-
-void SimContext::settle() const {
-  if (plan_->narrow_) settle_impl<std::uint32_t>(plan_->ops_);
-  else settle_impl<std::uint64_t>(plan_->ops_);
+  return diff != 0;
 }
 
 void SimContext::settle_if_dirty() const {
   if (!dirty_) return;
-  if (plan_->narrow_) settle_impl<std::uint32_t>(plan_->cone_ops_);
-  else settle_impl<std::uint64_t>(plan_->cone_ops_);
+  if (plan_->narrow_) settle_impl<std::uint32_t>();
+  else settle_impl<std::uint64_t>();
 }
 
 template <typename W>
-void SimContext::settle_impl(const std::vector<SimPlan::CombOp>& ops) const {
-  for (const SimPlan::CombOp& op : ops) eval_op<W>(op);
+void SimContext::settle_impl() const {
+  const SimPlan& p = *plan_;
+  const std::uint64_t e = epoch_;
+  std::uint64_t* changed = changed_.data();
+  const std::uint32_t* truth = p.truth_inputs_.data();
+  W* state = state_base<W>();
+  for (const SimPlan::CombOp& op : p.ops_) {
+    // Levelized order: every input group is final by the time the op is
+    // reached, so one pass sees every change it must react to.
+    bool live = changed[op.a / kLanes] == e || changed[op.b / kLanes] == e ||
+                changed[op.c / kLanes] == e;
+    for (std::uint32_t j = 0; !live && j < op.in_count; ++j) {
+      live = changed[truth[op.in_begin + j] / kLanes] == e;
+    }
+    if (!live) continue;
+    ++comb_evals_;
+    if (!eval_op<W>(op)) continue;
+    changed[op.out / kLanes] = e;
+    const W* o = state + op.out;
+    for (std::uint32_t f = 0; f < op.fan_count; ++f) {
+      const std::uint32_t slot = p.fanout_[op.fan_begin + f];
+      std::copy_n(o, kLanes, state + slot);
+      changed[slot / kLanes] = e;
+    }
+  }
+  ++epoch_;
   dirty_ = false;
 }
 
@@ -776,10 +779,23 @@ void SimContext::step_impl() {
   W* wmem_state = wmem_base<W>();
   std::uint64_t* dirty = dirty_pages_.data();
   const W* rom_state = p.rom_vec<W>().data();
+  // Groups stamped at or after `since` changed after the previous edge's
+  // capture read them (the fabric is settled, so every stamp is < epoch_).
+  const std::uint64_t since = edge_epoch_;
+  edge_epoch_ = epoch_;
 
   // Phase 1: capture next values and enables for every sequential op.
   for (std::size_t i = 0; i < p.seq_.size(); ++i) {
     const SimPlan::SeqOp& sq = p.seq_[i];
+    // A quiet depth-1 register already holds what it would capture: the
+    // previous edge wrote D to the lanes CE enabled, and neither has
+    // changed since. Deeper pipes still shift, so they always run.
+    if ((sq.type == CellType::kFf || sq.type == CellType::kSrl) && sq.depth == 1 &&
+        changed_[sq.d / kLanes] < since &&
+        (!sq.has_ce || changed_[sq.ce / kLanes] < since)) {
+      seq_en_[i] = 0;
+      continue;
+    }
     W* next = &seq_next[i * kLanes];
     std::uint64_t en = ~0ULL;
     if (sq.has_ce) {
@@ -840,6 +856,21 @@ void SimContext::step_impl() {
     }
   }
 
+  // Drives every output slot of `sq` from `src` when it differs from the
+  // value they hold (all of them hold the same one), stamping them.
+  const auto drive = [&](const SimPlan::SeqOp& sq, const W* src) {
+    if (sq.fan_count == 0) return;
+    const std::uint32_t* fan = &p.fanout_[sq.fan_begin];
+    const W* held = state + fan[0];
+    W diff = 0;
+    for (std::size_t l = 0; l < kLanes; ++l) diff |= static_cast<W>(held[l] ^ src[l]);
+    if (diff == 0) return;
+    for (std::uint32_t f = 0; f < sq.fan_count; ++f) {
+      std::copy_n(src, kLanes, state + fan[f]);
+      stamp(fan[f]);
+    }
+  };
+
   // Phase 2: commit pipes and drive every connected output pin. The pipe
   // is a ring (logical slot s at physical (head + s) % depth): the common
   // all-lanes-enabled commit retreats the head and writes one group —
@@ -853,15 +884,17 @@ void SimContext::step_impl() {
       // slots themselves are the storage — commit straight from the
       // capture, skipping the pipe write + tail read round-trip.
       if (en == ~0ULL) {
-        for (std::uint32_t f = 0; f < sq.fan_count; ++f) {
-          std::copy_n(next, kLanes, state + p.fanout_[sq.fan_begin + f]);
-        }
+        drive(sq, next);
       } else if (en != 0) {
+        // Partial-enable blend (lanes diverge on CE): rare, so it stamps
+        // without comparing.
         for (std::uint32_t f = 0; f < sq.fan_count; ++f) {
-          W* dst = state + p.fanout_[sq.fan_begin + f];
+          const std::uint32_t slot = p.fanout_[sq.fan_begin + f];
+          W* dst = state + slot;
           for (std::size_t l = 0; l < kLanes; ++l) {
             if ((en >> l) & 1) dst[l] = next[l];
           }
+          stamp(slot);
         }
       }
       continue;
@@ -896,14 +929,12 @@ void SimContext::step_impl() {
     }
     const std::uint32_t tail =
         head + sq.depth - 1 < sq.depth ? head + sq.depth - 1 : head - 1;
-    const W* tail_group = &pipe[tail * kLanes];
-    for (std::uint32_t f = 0; f < sq.fan_count; ++f) {
-      std::copy_n(tail_group, kLanes, state + p.fanout_[sq.fan_begin + f]);
-    }
+    drive(sq, &pipe[tail * kLanes]);
   }
 
-  // Phase 3: re-settle the combinational fabric on the new state.
-  settle();
+  // Phase 3: re-settle the combinational fabric on the new state (a no-op
+  // when no commit changed anything).
+  settle_if_dirty();
   ++cycle_;
 }
 

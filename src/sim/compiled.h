@@ -21,6 +21,19 @@
 //   - constant cells are folded into the plan's initial state image and
 //     dropped from the schedule.
 //
+// Evaluation is activity-gated. In a dataflow accelerator most of the
+// fabric waits on a handshake in any given cycle (a few percent of comb
+// ops see an input change per settle), so a context keeps a change epoch
+// per net group: every write that may change a group — an input port
+// write, a comb op whose output moved, a register or BRAM commit that
+// changed its output — stamps it with the current epoch. The settle walks the levelized schedule once and
+// evaluates only the ops with a stamped input group, stamping their
+// outputs only when the value actually changed; the clock edge skips a
+// depth-1 FF/SRL whose D and CE groups are unchanged since the previous
+// edge, since capturing would rewrite the value it already holds. The
+// result is identical to evaluating everything, at a cost proportional
+// to the logic that changed.
+//
 // The plan/state split is what makes traffic-scale serving cheap: compile
 // once, then instantiate N contexts with no re-levelization. A context's
 // cost tracks the memory rows it writes, not the size of its memories:
@@ -31,10 +44,11 @@
 // them can run on N threads with no synchronization; each context's
 // storage is cache-line aligned so parallel contexts never false-share.
 // reset() returns a context to the plan's initial state reusing its
-// allocations: the small net/pipe sections are re-imaged in full, and of
-// the writable memories only the fixed-size pages written since the last
-// reset are zeroed and re-preloaded — the per-batch path of src/sim/engine
-// allocates nothing and pays for the rows a batch touched.
+// allocations: the small net/pipe sections are re-imaged in full and
+// every group is stamped (so the first settle and edge run everything),
+// and of the writable memories only the fixed-size pages written since
+// the last reset are zeroed and re-preloaded — the per-batch path of
+// src/sim/engine allocates nothing and pays for the rows a batch touched.
 //
 // Semantics are pinned by the sim/eval.h contract; the interpreter stays
 // the A/B oracle (see compare_compiled_vs_interpreter and
@@ -196,7 +210,6 @@ class SimPlan {
 
   std::vector<CombOp> ops_;            // levelized order
   std::vector<std::size_t> level_begin_;  // ops_ index of each level + end sentinel
-  std::vector<CombOp> cone_ops_;       // ops downstream of input ports, in ops_ order
   std::vector<CombOp> dsp_capture_;    // per-edge MAC captures (not in settle)
   std::vector<SeqOp> seq_;
   std::vector<std::uint32_t> fanout_;  // extra/all output slot bases
@@ -242,6 +255,10 @@ class SimContext {
   void reset();
   /// Number of reset() calls since construction (engine telemetry).
   std::size_t resets() const { return resets_; }
+  /// Comb ops the gated settle evaluated since construction (not reset by
+  /// reset()). Deterministic: after a reset it advances as a pure function
+  /// of the stimulus, so it diffs across runs and thread widths.
+  std::uint64_t comb_evals() const { return comb_evals_; }
 
   // -- batch driver API -----------------------------------------------------
   /// Drives an input port: lanes[l] becomes the port value of test vector
@@ -262,7 +279,9 @@ class SimContext {
   void get_output_frame(std::span<std::uint64_t> frame) const;
 
   /// Advances one clock cycle for all lanes: settle -> capture -> commit
-  /// -> settle, the same two-phase edge as Simulator::step().
+  /// -> settle, the same two-phase edge as Simulator::step(). Each settle
+  /// evaluates only ops whose inputs changed, and the capture skips quiet
+  /// depth-1 registers (see the header comment).
   void step();
   void run(int n) {
     for (int i = 0; i < n; ++i) step();
@@ -288,18 +307,25 @@ class SimContext {
   std::uint64_t cycle() const { return cycle_; }
 
  private:
-  void settle() const;  // one levelized sweep over all 64 lanes
-  // Outside of step(), state only goes stale through set_inputs(), and the
-  // post-edge settle keeps everything else current — so the lazy re-settle
-  // only has to run the ops downstream of input ports (cone_ops_), not the
-  // whole fabric.
+  // The one settle loop: a levelized sweep over all 64 lanes that
+  // evaluates only the ops with an input group stamped in the current
+  // epoch, then advances the epoch. Every stamping write sets dirty_, so a
+  // context with nothing stamped skips the sweep entirely — after a quiet
+  // edge, and between observations with no set_inputs().
   void settle_if_dirty() const;
   template <typename W> void reset_impl();
   // Writes the plan's preloaded rows in writable-memory range [begin, end).
   template <typename W> void apply_preloads(std::size_t begin, std::size_t end);
-  template <typename W> void settle_impl(const std::vector<SimPlan::CombOp>& ops) const;
+  template <typename W> void settle_impl() const;
   template <typename W> void step_impl();
-  template <typename W> void eval_op(const SimPlan::CombOp& op) const;
+  // Evaluates one op into its primary output slot; returns whether any
+  // lane of that output changed.
+  template <typename W> bool eval_op(const SimPlan::CombOp& op) const;
+  // Stamps net group `slot / kLanes` as changed in the current epoch.
+  void stamp(std::uint32_t slot) const {
+    changed_[slot / kLanes] = epoch_;
+    dirty_ = true;
+  }
   // Arena section bases. The evaluation core is templated on the lane
   // word: when every cell and port fits 32 bits (the CNN accelerators do —
   // Q8.8 datapaths with 24-bit accumulators), lanes are stored as
@@ -331,7 +357,14 @@ class SimContext {
   std::vector<std::uint64_t> dirty_pages_;
   std::vector<std::uint32_t> seq_head_;  // ring head (physical slot of logical 0)
   std::vector<std::uint64_t> seq_en_;    // phase-1 enable bitmasks (bit = lane)
-  mutable bool dirty_ = false;
+  // Change epoch per state group (net, hidden DSP slot, zero group): the
+  // epoch of the last write that changed it. Groups stamped with epoch_
+  // are pending for the next settle; 64-bit epochs never wrap.
+  mutable std::vector<std::uint64_t> changed_;
+  mutable std::uint64_t epoch_ = 1;
+  std::uint64_t edge_epoch_ = 0;  // epoch_ at the previous edge's capture
+  mutable bool dirty_ = false;    // some group carries epoch_
+  mutable std::uint64_t comb_evals_ = 0;
   std::uint64_t cycle_ = 0;
   std::size_t resets_ = 0;
 };

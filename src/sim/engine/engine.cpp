@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "sim/simulator.h"
 #include "util/aligned.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -173,9 +172,16 @@ void InferenceEngine::run_shard(std::size_t shard_index, int cycles, Shard& out)
 
   if (!audited) return;
   // Interpreter oracle: replay the audited lane vector-for-vector and
-  // compare every output port on every cycle.
+  // compare every output port on every cycle. Audits share one
+  // interpreter, reset to its constructed state, one audit at a time.
   out.oracle_checks = 1;
-  Simulator oracle(netlist_);
+  const std::lock_guard<std::mutex> lock(oracle_mutex_);
+  if (oracle_) {
+    oracle_->reset();
+  } else {
+    oracle_ = std::make_unique<Simulator>(netlist_);
+  }
+  Simulator& oracle = *oracle_;
   for (int cycle = 0; cycle < cycles; ++cycle) {
     for (std::size_t i = 0; i < in_count; ++i) {
       oracle.set_input(plan_->input_name(i),

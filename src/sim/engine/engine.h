@@ -26,15 +26,19 @@
 // (sim/simulator.h, the semantics oracle) and compares every output port
 // on every cycle — a continuous A/B audit at ~1/(64*check_every) of the
 // serving cost, in the spirit of the compiled/interpreter cross-check
-// that gates the flow tests.
+// that gates the flow tests. The engine keeps one interpreter, built on
+// the first audit and reset for each later one, so audits reuse its
+// memory images instead of allocating a dense copy per audited shard.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "sim/compiled.h"
+#include "sim/simulator.h"
 #include "util/thread_pool.h"
 
 namespace fpgasim {
@@ -125,6 +129,9 @@ class InferenceEngine {
   std::vector<std::vector<std::uint64_t>> in_frames_;
   std::vector<std::vector<std::uint64_t>> out_frames_;
   std::atomic<std::uint64_t> free_mask_{0};  // bit set = context free
+  // The interpreter oracle shared by every audit, created by the first.
+  std::mutex oracle_mutex_;
+  std::unique_ptr<Simulator> oracle_;  // guarded by oracle_mutex_
 };
 
 /// splitmix64-style shard seed derivation (exposed for tests that

@@ -27,14 +27,7 @@ Simulator::Simulator(const Netlist& netlist) : netlist_(netlist) {
     seq_cells_.push_back(c);
     if (cell.type == CellType::kBram) {
       state_index_[c] = static_cast<std::int32_t>(mems_.size());
-      std::vector<std::uint64_t> mem(cell.bram_depth, 0);
-      if (cell.rom_id >= 0) {
-        const auto& rom = netlist_.rom(cell.rom_id);
-        for (std::size_t i = 0; i < mem.size() && i < rom.size(); ++i) {
-          mem[i] = mask_width(rom[i], cell.width);
-        }
-      }
-      mems_.push_back(std::move(mem));
+      image_memory(cell, mems_.emplace_back());
       // BRAM also needs a 1-deep pipe for the registered read value.
       pipes_.emplace_back(1, 0);
     } else {
@@ -80,6 +73,29 @@ Simulator::Simulator(const Netlist& netlist) : netlist_(netlist) {
   }
 
   // Sequential outputs start at 0; settle the combinational fabric.
+  settle();
+}
+
+void Simulator::image_memory(const Cell& cell, std::vector<std::uint64_t>& mem) const {
+  mem.assign(cell.bram_depth, 0);
+  if (cell.rom_id < 0) return;
+  const auto& rom = netlist_.rom(cell.rom_id);
+  for (std::size_t i = 0; i < mem.size() && i < rom.size(); ++i) {
+    mem[i] = mask_width(rom[i], cell.width);
+  }
+}
+
+void Simulator::reset() {
+  std::fill(values_.begin(), values_.end(), 0);
+  for (std::size_t i = 0; i < seq_cells_.size(); ++i) {
+    const CellId c = seq_cells_[i];
+    std::fill(pipes_[i].begin(), pipes_[i].end(), 0);
+    const Cell& cell = netlist_.cell(c);
+    if (cell.type == CellType::kBram) {
+      image_memory(cell, mems_[static_cast<std::size_t>(state_index_[c])]);
+    }
+  }
+  cycle_ = 0;
   settle();
 }
 

@@ -28,6 +28,11 @@ class Simulator {
   /// k-port interface costs k stores, not k full fabric sweeps.
   void set_input(const std::string& port_name, std::uint64_t value);
 
+  /// Returns to the constructed state: cycle 0, nets zeroed, pipes
+  /// flushed and memories re-imaged from their ROM contents exactly as the
+  /// constructor does, reusing every allocation.
+  void reset();
+
   /// Advances one clock cycle: sequential capture -> commit -> settle.
   void step();
 
@@ -47,9 +52,9 @@ class Simulator {
 
   std::uint64_t cycle() const { return cycle_; }
 
-  /// Number of full combinational sweeps performed so far (white-box
-  /// counter for the lazy-settle contract: O(observations), not
-  /// O(set_input calls)).
+  /// Number of full combinational sweeps performed so far, across resets
+  /// (white-box counter for the lazy-settle contract: O(observations),
+  /// not O(set_input calls)).
   std::size_t settles() const { return settles_; }
 
  private:
@@ -57,6 +62,7 @@ class Simulator {
   void settle_if_dirty() const {
     if (dirty_) settle();
   }
+  void image_memory(const Cell& cell, std::vector<std::uint64_t>& mem) const;
   std::uint64_t eval_cell(CellId cell_id) const;
   std::uint64_t in_val(const Cell& cell, std::size_t pin) const;
 

@@ -9,7 +9,9 @@
 //    the exact same checksum;
 //  - the interpreter A/B audit actually bites: corrupt_oracle must turn
 //    every audited shard into a reported failure;
-//  - plan reuse: engines and contexts share one SimPlan compilation.
+//  - plan reuse: engines and contexts share one SimPlan compilation;
+//  - the gated settle's comb_evals() counter is a pure function of the
+//    shard, whichever context and pool width replays it.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -169,6 +171,48 @@ TEST(Engine, CorruptOracleInjectionReportsEveryAuditedShard) {
   EXPECT_EQ(ok.oracle_checks, batches);
   EXPECT_EQ(ok.oracle_failures, 0u);
   EXPECT_TRUE(ok.ok());
+}
+
+TEST(Engine, CombEvalsOfAShardReplayAreIdenticalAcrossWidths) {
+  const Netlist nl = engine_fixture();
+  const auto plan = SimPlan::compile(nl);
+  constexpr std::uint64_t kSeed = 5;
+  constexpr std::size_t kShards = 8;
+  const int cycles = EngineOptions{}.cycles_per_batch;
+
+  // Replays engine shards as run_shard drives them, worker w taking shards
+  // w, w + width, ... on its own context, so each context's history
+  // differs between widths; returns each shard's comb_evals() delta.
+  const auto replay = [&](std::size_t width) {
+    ThreadPool pool(width);
+    std::vector<std::uint64_t> evals(kShards, 0);
+    parallel_for(
+        0, width,
+        [&](std::size_t w) {
+          SimContext ctx(plan);
+          std::vector<std::uint64_t> in_frame(plan->input_count() * SimPlan::kLanes);
+          for (std::size_t shard = w; shard < kShards; shard += width) {
+            const std::uint64_t before = ctx.comb_evals();
+            ctx.reset();
+            Rng rng(engine_shard_seed(kSeed, shard));
+            for (int cycle = 0; cycle < cycles; ++cycle) {
+              for (std::uint64_t& v : in_frame) v = rng();
+              ctx.set_input_frame(in_frame);
+              ctx.step();
+            }
+            evals[shard] = ctx.comb_evals() - before;
+          }
+        },
+        &pool);
+    return evals;
+  };
+  const std::vector<std::uint64_t> serial = replay(1);
+  EXPECT_EQ(replay(4), serial);
+  for (const std::uint64_t n : serial) {
+    // At least the reset's full settle; at most every op in every settle.
+    EXPECT_GE(n, plan->comb_ops());
+    EXPECT_LE(n, plan->comb_ops() * (2 * static_cast<std::uint64_t>(cycles) + 1));
+  }
 }
 
 TEST(Engine, PlanCompiledOnceAndSharedAcrossContexts) {

@@ -1,8 +1,9 @@
 // Compiled-vs-interpreter A/B equivalence: the interpreter is the oracle
 // (sim/eval.h semantics contract), the compiled bit-parallel simulator
 // must be bit-identical on every output, every cycle, every lane — on
-// hand-built corner netlists, randomized synthetic netlists, and the real
-// LeNet / VGG-16 / resblock designs through both flows.
+// hand-built corner netlists, randomized synthetic netlists under dense
+// and sparse (held-input) stimulus, and the real LeNet / VGG-16 /
+// resblock designs through both flows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "flow/preimpl.h"
 #include "flow/service.h"
 #include "sim/compiled.h"
+#include "sim/eval.h"
 #include "sim/simulator.h"
 #include "stream_harness.h"
 #include "synth/builder.h"
@@ -394,6 +396,321 @@ TEST(CompiledPlan, PreloadedWritableMemoryFuzzMatchesInterpreterAndResets) {
     const auto plan = SimPlan::compile(nl);
     EXPECT_EQ(compare_compiled_vs_interpreter(nl, 64, 9000 + seed, {}, plan), "");
     expect_reset_matches_fresh(plan, 9100 + seed);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Activity gating: a context evaluates only the ops whose input groups
+// changed and skips depth-1 registers whose D and CE are quiet. Random
+// stimulus that rewrites every port every cycle hides a missed change, so
+// these tests hold inputs for random runs of cycles.
+
+// Sparse stimulus: each input port keeps its value for a random run of
+// cycles, then is redriven by a broadcast, a prefix of the lanes, a random
+// subset of the lanes or all of them; some cycles also rewrite every port
+// unchanged through set_input_frame, and outputs are read before the edge
+// on about half the cycles (which moves the settle out of step()).
+struct SparseStimulus {
+  struct Drive {
+    int port = 0;
+    bool broadcast = false;
+    std::vector<std::uint64_t> values;  // broadcast: one value; else lanes [0, size)
+  };
+  std::vector<std::vector<Drive>> drives;  // per cycle
+  std::vector<char> frame;                 // per cycle
+  std::vector<char> observe_pre_edge;      // per cycle
+  std::vector<std::uint64_t> lane_inputs;  // [cycle][port][lane] after the drives
+};
+
+SparseStimulus make_sparse_stimulus(const SimPlan& plan, int cycles, std::uint64_t seed) {
+  constexpr std::size_t kLanes = SimContext::kLanes;
+  Rng rng(seed);
+  SparseStimulus s;
+  std::vector<std::uint64_t> cur(plan.input_count() * kLanes, 0);
+  std::vector<std::uint64_t> hold(plan.input_count(), 0);
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    std::vector<SparseStimulus::Drive> drives;
+    for (std::size_t i = 0; i < plan.input_count(); ++i) {
+      if (hold[i] > 0) {
+        --hold[i];
+        continue;
+      }
+      hold[i] = rng.next_below(12);
+      std::uint64_t* v = &cur[i * kLanes];
+      SparseStimulus::Drive d;
+      d.port = static_cast<int>(i);
+      switch (rng.next_below(4)) {
+        case 0:
+          d.broadcast = true;
+          d.values = {rng()};
+          std::fill_n(v, kLanes, d.values[0]);
+          break;
+        case 1: {
+          const std::size_t n = 1 + rng.next_below(kLanes - 1);
+          for (std::size_t l = 0; l < n; ++l) v[l] = rng();
+          d.values.assign(v, v + n);
+          break;
+        }
+        case 2:
+          for (std::size_t l = 0; l < kLanes; ++l) {
+            if (rng.next_below(4) == 0) v[l] = rng();
+          }
+          d.values.assign(v, v + kLanes);
+          break;
+        default:
+          for (std::size_t l = 0; l < kLanes; ++l) v[l] = rng();
+          d.values.assign(v, v + kLanes);
+          break;
+      }
+      drives.push_back(std::move(d));
+    }
+    s.drives.push_back(std::move(drives));
+    s.frame.push_back(rng.next_below(8) == 0 ? 1 : 0);
+    s.observe_pre_edge.push_back(rng.next_below(2) == 0 ? 1 : 0);
+    s.lane_inputs.insert(s.lane_inputs.end(), cur.begin(), cur.end());
+  }
+  return s;
+}
+
+// Every observed output frame in order, then every net of every lane.
+std::vector<std::uint64_t> run_sparse(SimContext& ctx, const SparseStimulus& s) {
+  const SimPlan& plan = ctx.plan();
+  const std::size_t frame_words = plan.input_count() * SimContext::kLanes;
+  std::vector<std::uint64_t> out(plan.output_count() * SimContext::kLanes);
+  std::vector<std::uint64_t> trace;
+  for (std::size_t cycle = 0; cycle < s.drives.size(); ++cycle) {
+    for (const SparseStimulus::Drive& d : s.drives[cycle]) {
+      if (d.broadcast) ctx.set_inputs(d.port, d.values[0]);
+      else ctx.set_inputs(d.port, d.values);
+    }
+    if (s.frame[cycle] != 0) {
+      ctx.set_input_frame({&s.lane_inputs[cycle * frame_words], frame_words});
+    }
+    if (s.observe_pre_edge[cycle] != 0) {
+      ctx.get_output_frame(out);
+      trace.insert(trace.end(), out.begin(), out.end());
+    }
+    ctx.step();
+    ctx.get_output_frame(out);
+    trace.insert(trace.end(), out.begin(), out.end());
+  }
+  for (std::size_t n = 0; n < plan.net_count(); ++n) {
+    for (std::size_t l = 0; l < SimContext::kLanes; ++l) {
+      trace.push_back(ctx.peek_net(static_cast<NetId>(n), l));
+    }
+  }
+  return trace;
+}
+
+// Replays every lane of `trace` through the interpreter; returns the first
+// divergence or "".
+std::string check_sparse_against_interpreter(const Netlist& nl, const SimPlan& plan,
+                                             const SparseStimulus& s,
+                                             const std::vector<std::uint64_t>& trace) {
+  constexpr std::size_t kLanes = SimContext::kLanes;
+  const std::size_t in_count = plan.input_count();
+  const std::size_t out_count = plan.output_count();
+  const std::size_t cycles = s.drives.size();
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    Simulator sim(nl);
+    std::size_t at = 0;  // start of the next observed frame in `trace`
+    const auto compare_outputs = [&](std::size_t cycle, const char* when) -> std::string {
+      for (std::size_t o = 0; o < out_count; ++o) {
+        const std::uint64_t want = sim.get_output(plan.output_name(o));
+        const std::uint64_t have = trace[at + o * kLanes + lane];
+        if (want != have) {
+          return "cycle " + std::to_string(cycle) + " " + when + " port '" +
+                 plan.output_name(o) + "' lane " + std::to_string(lane) + ": interpreter " +
+                 std::to_string(want) + ", compiled " + std::to_string(have);
+        }
+      }
+      at += out_count * kLanes;
+      return {};
+    };
+    for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
+      for (std::size_t i = 0; i < in_count; ++i) {
+        sim.set_input(plan.input_name(i), s.lane_inputs[(cycle * in_count + i) * kLanes + lane]);
+      }
+      if (s.observe_pre_edge[cycle] != 0) {
+        if (std::string diff = compare_outputs(cycle, "pre-edge"); !diff.empty()) return diff;
+      }
+      sim.step();
+      if (std::string diff = compare_outputs(cycle, "post-edge"); !diff.empty()) return diff;
+    }
+    for (std::size_t n = 0; n < plan.net_count(); ++n) {
+      const std::uint64_t want = sim.peek_net(static_cast<NetId>(n));
+      const std::uint64_t have = trace[at + n * kLanes + lane];
+      if (want != have) {
+        return "net " + std::to_string(n) + " lane " + std::to_string(lane) +
+               " at the end: interpreter " + std::to_string(want) + ", compiled " +
+               std::to_string(have);
+      }
+    }
+  }
+  return {};
+}
+
+// A 6-input truth table whose pins 3-5 are the only inputs some cycles
+// change, feeding a CE-gated register: gating must look past pins a/b/c.
+Netlist truth6_netlist() {
+  Netlist nl("truth6_gate");
+  std::vector<NetId> pins;
+  for (int i = 0; i < 6; ++i) {
+    const std::string name = "s" + std::to_string(i);
+    const NetId net = nl.add_net(1, name);
+    nl.add_port({name, PortDir::kInput, 1, net});
+    pins.push_back(net);
+  }
+  Cell lut;
+  lut.type = CellType::kLut;
+  lut.op = LutOp::kTruth6;
+  lut.init = 0x6996'9669'9669'6996ULL ^ 0x0123'4567'89ab'cdefULL;
+  const CellId t = nl.add_cell(std::move(lut));
+  for (std::size_t p = 0; p < pins.size(); ++p) nl.connect_input(t, p, pins[p]);
+  const NetId tv = nl.add_net(1, "t");
+  nl.connect_output(t, 0, tv);
+  Cell ff;
+  ff.type = CellType::kFf;
+  const CellId r = nl.add_cell(std::move(ff));
+  nl.connect_input(r, 0, tv);
+  nl.connect_input(r, 1, pins[5]);
+  const NetId rq = nl.add_net(1, "tq");
+  nl.connect_output(r, 0, rq);
+  nl.add_port({"t", PortDir::kOutput, 1, tv});
+  nl.add_port({"tq", PortDir::kOutput, 1, rq});
+  return nl;
+}
+
+TEST(CompiledPlan, SparseStimulusFuzzMatchesInterpreter) {
+  std::vector<Netlist> netlists;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) netlists.push_back(random_netlist(seed));
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    netlists.push_back(random_memory_netlist(seed));
+  }
+  netlists.push_back(truth6_netlist());
+  for (std::size_t k = 0; k < netlists.size(); ++k) {
+    const Netlist& nl = netlists[k];
+    SCOPED_TRACE(nl.name());
+    ASSERT_TRUE(nl.validate().empty());
+    const auto plan = SimPlan::compile(nl);
+    const SparseStimulus s = make_sparse_stimulus(*plan, 96, 11000 + k);
+    SimContext ctx(plan);
+    const std::vector<std::uint64_t> trace = run_sparse(ctx, s);
+    EXPECT_EQ(check_sparse_against_interpreter(nl, *plan, s, trace), "");
+    ctx.reset();
+    EXPECT_EQ(run_sparse(ctx, s), trace);
+  }
+}
+
+// Comb cells reachable from `net` without crossing a register: the ops a
+// change on `net` can reach within one settle.
+std::size_t comb_cone(const Netlist& nl, NetId net) {
+  std::vector<char> seen(nl.cell_count(), 0);
+  std::vector<NetId> frontier{net};
+  std::size_t cells = 0;
+  while (!frontier.empty()) {
+    const NetId n = frontier.back();
+    frontier.pop_back();
+    for (const auto& [sink, pin] : nl.net(n).sinks) {
+      (void)pin;
+      const Cell& cell = nl.cell(sink);
+      if (seen[sink] != 0 || is_sequential_cell(cell)) continue;
+      seen[sink] = 1;
+      ++cells;
+      for (const NetId out : cell.outputs) {
+        if (out != kInvalidNet) frontier.push_back(out);
+      }
+    }
+  }
+  return cells;
+}
+
+TEST(CompiledPlan, GatedSettleRunsOnlyWhatChanged) {
+  // Two independent registered datapaths of bijective ops, so every op
+  // downstream of a change changes too.
+  NetlistBuilder b("gated");
+  const NetId x = b.in_port("x", 16);
+  const NetId y = b.in_port("y", 16);
+  const NetId x3 = b.xor2(b.add(b.not1(x, 16), b.constant(3, 16), 16), b.constant(0x5a, 16), 16);
+  const NetId rx = b.ff(x3, kInvalidNet, 16);
+  b.out_port("xo", b.not1(rx, 16));
+  const NetId ry = b.ff(b.add(b.not1(y, 16), b.constant(7, 16), 16), kInvalidNet, 16);
+  b.out_port("yo", b.not1(ry, 16));
+  const Netlist nl = std::move(b).take();
+  const auto plan = SimPlan::compile(nl);
+  const int x_in = plan->input_index("x");
+  const int xo = plan->output_index("xo");
+
+  // Construction settles everything once; a reset does it again.
+  SimContext ctx(plan);
+  EXPECT_EQ(ctx.comb_evals(), plan->comb_ops());
+  ctx.reset();
+  EXPECT_EQ(ctx.comb_evals(), 2 * plan->comb_ops());
+
+  // Held inputs: once the registers have captured, a step evaluates nothing.
+  ctx.set_inputs(x_in, 1234);
+  ctx.set_inputs(plan->input_index("y"), 99);
+  ctx.run(3);
+  for (int i = 0; i < 4; ++i) {
+    const std::uint64_t before = ctx.comb_evals();
+    ctx.step();
+    EXPECT_EQ(ctx.comb_evals() - before, 0u) << "held step " << i;
+  }
+
+  // Toggling x evaluates x's cone only: its comb ops before the edge, the
+  // register's cone after it, then nothing.
+  const std::size_t x_cone = comb_cone(nl, nl.find_port("x")->net);
+  ASSERT_EQ(x_cone, 3u);
+  ASSERT_LT(x_cone, plan->comb_ops());
+  std::uint64_t before = ctx.comb_evals();
+  ctx.set_inputs(x_in, 4321);
+  (void)ctx.get_output(xo, 0);
+  EXPECT_EQ(ctx.comb_evals() - before, x_cone);
+  before = ctx.comb_evals();
+  ctx.step();
+  EXPECT_EQ(ctx.comb_evals() - before, comb_cone(nl, rx));
+  EXPECT_EQ(ctx.get_output(xo, 0), (~((~4321u & 0xffff) + 3) ^ 0x5a) & 0xffff);
+  before = ctx.comb_evals();
+  ctx.step();
+  EXPECT_EQ(ctx.comb_evals() - before, 0u);
+
+  // Rewriting a port with the value it holds stamps it, but the change
+  // dies at the first op.
+  before = ctx.comb_evals();
+  ctx.set_inputs(x_in, 4321);
+  ctx.step();
+  EXPECT_EQ(ctx.comb_evals() - before, 1u);
+}
+
+TEST(Interpreter, ResetMatchesFreshConstruction) {
+  const auto check = [](const Netlist& nl, std::uint64_t seed) {
+    SCOPED_TRACE(nl.name());
+    std::vector<const Port*> ins;
+    std::vector<const Port*> outs;
+    for (const Port& port : nl.ports()) {
+      (port.dir == PortDir::kInput ? ins : outs).push_back(&port);
+    }
+    const auto drive = [&](Simulator& sim, std::uint64_t stim_seed) {
+      Rng rng(stim_seed);
+      std::vector<std::uint64_t> trace;
+      for (int cycle = 0; cycle < 48; ++cycle) {
+        for (const Port* in : ins) sim.set_input(in->name, rng());
+        sim.step();
+        for (const Port* out : outs) trace.push_back(sim.get_output(out->name));
+      }
+      for (NetId n = 0; n < nl.net_count(); ++n) trace.push_back(sim.peek_net(n));
+      return trace;
+    };
+    Simulator reused(nl);
+    drive(reused, seed);
+    reused.reset();
+    EXPECT_EQ(reused.cycle(), 0u);
+    Simulator fresh(nl);
+    EXPECT_EQ(drive(reused, seed + 1), drive(fresh, seed + 1));
+  };
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) check(random_netlist(seed), 12000 + seed);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    check(random_memory_netlist(seed), 12100 + seed);
   }
 }
 
