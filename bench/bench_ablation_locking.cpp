@@ -10,9 +10,7 @@ using namespace fpgasim::bench;
 
 int main() {
   const Device device = make_xcku5p_sim();
-  const CnnModel model = make_lenet5();
-  const ModelImpl impl = choose_implementation(model, 200);
-  const auto groups = default_grouping(model);
+  const auto [model, impl, groups] = load_zoo_model("lenet");
   CheckpointStore store(StoreOptions{});
   CompileService service(device, store);
 

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 
+#include "cnn/zoo.h"
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/preimpl.h"
@@ -22,29 +23,22 @@
 
 namespace fpgasim::bench {
 
-struct NetworkRun {
-  CnnModel model;
-  ModelImpl impl;
-  std::vector<std::vector<int>> groups;
+/// A zoo model in its canonical configuration, compiled by both flows.
+struct NetworkRun : ZooModel {
   std::unique_ptr<CheckpointStore> store;  // the model's components
   double function_opt_wall = 0.0;          // component builds, wall time
 
   ComposedDesign composed;
   PreImplReport pre;
-
   MonoReport mono;
-  NetlistStats flat_stats;
 };
 
-/// Compiles a model through the CompileService on a fresh store
-/// (components pre-implemented in parallel on the global pool) and runs
-/// the classic flow on its flat netlist.
-inline NetworkRun run_network(const Device& device, CnnModel model, long dsp_budget,
-                              int max_tile = 28) {
+/// Compiles a zoo model (load_zoo_model) through the CompileService on a
+/// fresh store (components pre-implemented in parallel on the global
+/// pool) and runs the classic flow on its flat netlist.
+inline NetworkRun run_network(const Device& device, const std::string& model_name) {
   NetworkRun run;
-  run.model = std::move(model);
-  run.impl = choose_implementation(run.model, dsp_budget, max_tile);
-  run.groups = default_grouping(run.model);
+  static_cast<ZooModel&>(run) = load_zoo_model(model_name);
 
   run.store = std::make_unique<CheckpointStore>(StoreOptions{});
   auto session = CompileService(device, *run.store).compile(run.model, run.impl, run.groups);
@@ -53,10 +47,25 @@ inline NetworkRun run_network(const Device& device, CnnModel model, long dsp_bud
   run.composed = std::move(session.design);
 
   Netlist flat = build_flat_netlist(run.model, run.impl, run.groups);
-  run.flat_stats = flat.stats();
   PhysState phys;
   run.mono = run_monolithic_flow(device, flat, phys);
   return run;
+}
+
+/// The paper's deterministic Fmax claims for a run, printed with a
+/// verdict: the composed design is bounded by its slowest component (to
+/// within 1 MHz) and is no slower than the classic flow. Returns false
+/// when either fails, so a bench can exit non-zero on it.
+inline bool check_fmax_claims(const NetworkRun& run) {
+  const double composed = run.pre.timing.fmax_mhz;
+  const double slowest = run.pre.slowest_component_mhz;
+  const bool bounded = composed <= slowest + 1.0;
+  const bool faster = composed >= run.mono.timing.fmax_mhz;
+  std::printf("composed Fmax %.1f <= slowest component %.1f MHz: %s; pre-implemented "
+              ">= classic %.1f MHz: %s\n",
+              composed, slowest, bounded ? "bound holds" : "BOUND VIOLATED",
+              run.mono.timing.fmax_mhz, faster ? "holds" : "CLAIM VIOLATED");
+  return bounded && faster;
 }
 
 /// One interpreter-vs-compiled simulator measurement over a final netlist

@@ -125,8 +125,8 @@ int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
   const Device device = make_xcku5p_sim();
 
-  NetworkRun lenet = run_network(device, make_lenet5(), 200);
-  NetworkRun vgg = run_network(device, make_vgg16(), quick ? 384 : 1024, 14);
+  NetworkRun lenet = run_network(device, "lenet");
+  NetworkRun vgg = run_network(device, "vgg16");
 
   Table table("Fig. 6: design generation time (s)");
   table.set_header({"network", "classic flow", "preimpl flow", "gain", "paper gain",
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
   // two-input join. The paper's observation — stitching is a small share
   // of the online flow — must survive the generalization to DFGs.
   {
-    NetworkRun res = run_network(device, make_resblock_net(), 16);
+    NetworkRun res = run_network(device, "resblock");
     Table dfg("branching DFG (residual block): design generation time (s)");
     dfg.set_header({"network", "classic flow", "preimpl flow", "gain",
                     "stitching share", "components", "stream edges"});
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
                      "x"});
   };
   par_row("LeNet", lenet);
-  if (!quick) par_row("VGG-16", vgg);
+  par_row("VGG-16", vgg);
   par.print();
   std::printf("hardware threads available: %u (FPGASIM_THREADS overrides the default pool)\n",
               std::thread::hardware_concurrency());

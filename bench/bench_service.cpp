@@ -22,6 +22,7 @@
 
 #include "cnn/impl.h"
 #include "cnn/model.h"
+#include "cnn/zoo.h"
 #include "fabric/device.h"
 #include "flow/service.h"
 #include "flow/store.h"
@@ -42,23 +43,26 @@ struct SessionSpec {
 };
 
 /// The network mix: each entry is one (model, resource budget) point a
-/// client might submit. Zipf rank == catalog order.
+/// client might submit. Zipf rank == catalog order. The `_dsp48` points
+/// deliberately leave the zoo configuration: they are the mix's second
+/// resource budget for the same networks.
 std::vector<SessionSpec> make_catalog(bool smoke) {
   std::vector<SessionSpec> catalog;
-  const auto add = [&catalog](std::string name, CnnModel model, long dsp, int max_tile) {
-    SessionSpec spec;
-    spec.name = std::move(name);
-    spec.impl = choose_implementation(model, dsp, max_tile);
-    spec.groups = default_grouping(model);
-    spec.model = std::move(model);
-    catalog.push_back(std::move(spec));
+  const auto add = [&catalog](std::string name, ZooModel m) {
+    catalog.push_back({std::move(name), std::move(m.model), std::move(m.impl),
+                       std::move(m.groups)});
   };
-  add("lenet_dsp64", make_lenet5(), 64, 32);
-  add("resblock_dsp64", make_resblock_net(), 64, 32);
-  add("lenet_dsp48", make_lenet5(), 48, 32);
+  const auto dsp48 = [](const char* model) {
+    ZooModel m = load_zoo_model(model);
+    m.impl = choose_implementation(m.model, 48, 32);
+    return m;
+  };
+  add("lenet_dsp64", load_zoo_model("lenet"));
+  add("resblock_dsp64", load_zoo_model("resblock"));
+  add("lenet_dsp48", dsp48("lenet"));
   if (!smoke) {
-    add("resblock_dsp48", make_resblock_net(), 48, 32);
-    add("vgg16_dsp384", make_vgg16(), 384, 14);
+    add("resblock_dsp48", dsp48("resblock"));
+    add("vgg16_dsp384", load_zoo_model("vgg16"));
   }
   return catalog;
 }

@@ -86,9 +86,7 @@ int main(int argc, char** argv) {
     }
     // Compose through the pre-implemented flow (the paper's fast path; the
     // monolithic baseline is covered by bench_table3/bench_fig7).
-    const CnnModel model = entry.make();
-    const ModelImpl impl = choose_implementation(model, entry.dsp_budget, entry.max_tile);
-    const auto groups = default_grouping(model);
+    const auto [model, impl, groups] = load_zoo_model(entry.name);
     CheckpointStore store(StoreOptions{});
     const ComposedDesign composed =
         CompileService(device, store).compile(model, impl, groups).design;

@@ -80,9 +80,7 @@ int main() {
   JsonWriter json;
   json.begin_object();
   for (const char* name : extra) {
-    const ZooEntry* entry = find_zoo_model(name);
-    const NetworkRun run =
-        run_network(device, entry->make(), entry->dsp_budget, entry->max_tile);
+    const NetworkRun run = run_network(device, name);
     const double stitch = run.pre.stitch_fraction();
     const double gain = 1.0 - run.pre.total_seconds / run.mono.total_seconds;
     const bool in_band = stitch >= 0.05 && stitch <= 0.09;

@@ -5,13 +5,12 @@
 using namespace fpgasim;
 using namespace fpgasim::bench;
 
-int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+int main() {
   const Device device = make_xcku5p_sim();
   const ResourceVec total = device.total();
 
-  NetworkRun lenet = run_network(device, make_lenet5(), 200);
-  NetworkRun vgg = run_network(device, make_vgg16(), quick ? 384 : 1024, 14);
+  NetworkRun lenet = run_network(device, "lenet");
+  NetworkRun vgg = run_network(device, "vgg16");
 
   Table table("Table II: FPGA resource utilization (classic vs pre-implemented)");
   table.set_header({"design", "CLB LUTs", "CLB Registers", "BRAMs", "DSPs"});

@@ -6,10 +6,9 @@
 using namespace fpgasim;
 using namespace fpgasim::bench;
 
-int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+int main() {
   const Device device = make_xcku5p_sim();
-  NetworkRun run = run_network(device, make_vgg16(), quick ? 384 : 1024, 14);
+  NetworkRun run = run_network(device, "vgg16");
 
   long total_cycles = 0;
   for (const auto& group : run.groups) {

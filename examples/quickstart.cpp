@@ -88,8 +88,9 @@ conv c2 out=2 k=3
   }
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < out.size(); ++i) mismatches += (out[i] != expected[i]);
-  std::printf("inference on hardware: %zu/%zu outputs after %ld cycles, %zu mismatches%s\n",
-              out.size(), expected.size(), guard, mismatches,
+  std::printf("inference on hardware: %zu/%zu outputs after %llu cycles, %zu mismatches%s\n",
+              out.size(), expected.size(), static_cast<unsigned long long>(sim.cycle()),
+              mismatches,
               mismatches == 0 && out.size() == expected.size() ? " -- MATCHES GOLDEN MODEL"
                                                                : " -- MISMATCH");
   return mismatches == 0 ? 0 : 1;

@@ -1,11 +1,13 @@
-// VGG-16 accelerator (paper Sec. V-B2): coefficients live off-chip; the
-// Best-Fit-with-Coalescing allocator lays out weight and feature-map
-// buffers in the simulated DDR, components use streamed weight buffers,
-// and the pre-implemented flow assembles the network. Prints the off-chip
-// memory map and the flow comparison.
+// VGG-16 accelerator (paper Sec. V-B2) at the vgg16 zoo entry's
+// configuration: coefficients live off-chip; the Best-Fit-with-Coalescing
+// allocator lays out weight and feature-map buffers in the simulated DDR,
+// components use streamed weight buffers, and the pre-implemented flow
+// assembles the network. Prints the off-chip memory map and the flow
+// comparison.
 #include <cstdio>
 
 #include "alloc/best_fit.h"
+#include "cnn/zoo.h"
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/preimpl.h"
@@ -14,13 +16,9 @@
 
 using namespace fpgasim;
 
-int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+int main() {
   const Device device = make_xcku5p_sim();
-  const CnnModel model = make_vgg16();
-  const ModelImpl impl =
-      choose_implementation(model, /*dsp_budget=*/quick ? 384 : 1024, /*max_tile=*/14);
-  const auto groups = default_grouping(model);
+  const auto [model, impl, groups] = load_zoo_model("vgg16");
 
   // Off-chip coefficient + feature-map layout (Best-Fit with Coalescing).
   BestFitAllocator ddr(2ULL << 30, /*alignment=*/4096);

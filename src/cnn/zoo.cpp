@@ -1,5 +1,7 @@
 #include "cnn/zoo.h"
 
+#include <stdexcept>
+
 namespace fpgasim {
 
 CnnModel make_mobilenet_v1() {
@@ -166,6 +168,17 @@ std::string zoo_model_names(const char* separator) {
     names += entry.name;
   }
   return names;
+}
+
+ZooModel load_zoo_model(const std::string& name) {
+  const ZooEntry* entry = find_zoo_model(name);
+  if (entry == nullptr) {
+    throw std::invalid_argument("unknown model '" + name + "' (" + zoo_model_names() + ")");
+  }
+  ZooModel m{entry->make(), {}, {}};
+  m.impl = choose_implementation(m.model, entry->dsp_budget, entry->max_tile);
+  m.groups = default_grouping(m.model);
+  return m;
 }
 
 }  // namespace fpgasim

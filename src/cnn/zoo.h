@@ -1,13 +1,15 @@
-// Model zoo: one registry of every built-in CNN topology plus the tool
-// dispatch configuration (DSP budget, tile cap) each one is evaluated
-// with. The `fpga` CLI subcommands and the benches all resolve
-// `--model <name>` through this table, so a new topology added here is
-// immediately reachable everywhere.
+// Model zoo: one registry of every built-in CNN topology plus the one
+// implementation configuration (DSP budget, tile cap) each one is
+// evaluated with. The `fpga` CLI, the benches, the examples and the tests
+// all resolve a model name through load_zoo_model, so a topology added
+// here is immediately reachable everywhere, and a figure quoted for a
+// model always means its entry's configuration.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "cnn/impl.h"
 #include "cnn/model.h"
 
 namespace fpgasim {
@@ -28,6 +30,19 @@ const ZooEntry* find_zoo_model(const std::string& name);
 
 /// "lenet | resblock | vgg16 | ..." — for CLI usage/error text.
 std::string zoo_model_names(const char* separator = " | ");
+
+/// A bundled network in its canonical configuration: the entry's model,
+/// choose_implementation at the entry's DSP budget and tile cap, and the
+/// default grouping.
+struct ZooModel {
+  CnnModel model;
+  ModelImpl impl;
+  std::vector<std::vector<int>> groups;
+};
+
+/// Resolves a zoo entry by name; throws std::invalid_argument naming the
+/// zoo's models on an unknown name.
+ZooModel load_zoo_model(const std::string& name);
 
 // -- topologies beyond the original three ------------------------------------
 

@@ -14,7 +14,6 @@
 //    shard, whichever context and pool width replays it.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -241,17 +240,12 @@ TEST(Engine, PlanCompiledOnceAndSharedAcrossContexts) {
   EXPECT_EQ(SimPlan::plans_compiled() - before, 2u);
 }
 
-TEST(Engine, ContextCountFromEnvironmentKnob) {
+TEST(Engine, ContextCountFromOptionOrPoolWidth) {
   const Netlist nl = engine_fixture();
   const auto plan = SimPlan::compile(nl);
   ThreadPool pool(2);
 
-  ASSERT_EQ(::setenv("FPGASIM_ENGINE_CONTEXTS", "3", 1), 0);
-  InferenceEngine engine(nl, plan, EngineOptions{}, &pool);
-  EXPECT_EQ(engine.context_count(), 3u);
-  ::unsetenv("FPGASIM_ENGINE_CONTEXTS");
-
-  // Explicit option wins over the environment; absent both, pool width.
+  // An explicit option wins; absent one, the pool width.
   EngineOptions opt;
   opt.contexts = 5;
   InferenceEngine explicit_ctx(nl, plan, opt, &pool);

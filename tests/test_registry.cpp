@@ -107,11 +107,7 @@ struct Fingerprint {
 /// collapse into this one comparison.
 void expect_fingerprints(const char* model_name,
                          const std::vector<Fingerprint>& expected) {
-  const ZooEntry* entry = find_zoo_model(model_name);
-  ASSERT_NE(entry, nullptr) << model_name;
-  const CnnModel model = entry->make();
-  const ModelImpl impl = choose_implementation(model, entry->dsp_budget, entry->max_tile);
-  const auto groups = default_grouping(model);
+  const auto [model, impl, groups] = load_zoo_model(model_name);
   const std::string fabric = fabric_signature(make_xcku5p_sim());
   const auto requests = component_requests(model, impl, groups);
   ASSERT_EQ(requests.size(), expected.size()) << model_name;
@@ -179,8 +175,7 @@ TEST(Registry, Vgg16CheckpointHashesAreByteStable) {
 TEST(Registry, PointwiseFusesIntoDepthwise) {
   // The grouping hook: a 1x1/s1 conv directly after a dwconv shares its
   // component; any other conv shape does not.
-  const CnnModel model = make_mobilenet_v1();
-  const auto groups = default_grouping(model);
+  const auto [model, impl, groups] = load_zoo_model("mobilenet");
   // Locate dw1: its group must also contain the following pointwise conv.
   int dw1 = -1;
   for (std::size_t i = 0; i < model.layers().size(); ++i) {
@@ -198,7 +193,6 @@ TEST(Registry, PointwiseFusesIntoDepthwise) {
   }
   EXPECT_TRUE(fused);
   // The signature of the fused group carries both stages.
-  const ModelImpl impl = choose_implementation(model, 64, 32);
   bool saw_pair = false;
   for (const auto& group : groups) {
     const std::string sig = group_signature(model, impl, group);

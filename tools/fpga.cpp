@@ -4,9 +4,9 @@
 // operations) and run (both flows plus one golden inference); `fpga --help`
 // lists their flags.
 //
-// Every `--model NAME` composes a bundled network (cnn/zoo.h) the same
-// way: the zoo entry's DSP budget and tile cap, the default grouping, and
-// one CompileService session over a CheckpointStore(StoreOptions{}).
+// Every `--model NAME` composes a bundled network the same way: its
+// load_zoo_model configuration (cnn/zoo.h) and one CompileService session
+// over a CheckpointStore(StoreOptions{}).
 // `--json` output carries no timing, so it is byte-identical at any
 // FPGASIM_THREADS width.
 //
@@ -74,8 +74,7 @@ void usage(std::FILE* to) {
       "  --cycles C       cycles per batch (default 32)\n"
       "  --check-every K  interpreter A/B audit every Kth shard, 0 = off (default 64)\n"
       "  --seed S         stimulus seed (default 1)\n"
-      "  --contexts N     simulation contexts, at most 64 (default: pool width,\n"
-      "                   or the FPGASIM_ENGINE_CONTEXTS environment variable)\n"
+      "  --contexts N     simulation contexts, at most 64 (default: pool width)\n"
       "  --json           deterministic result object on stdout, timing on stderr\n"
       "\n"
       "fpga db [--dir DIR] [--json] <stats | verify | gc --keep-reachable MODELS>\n"
@@ -146,24 +145,6 @@ class Args {
   std::vector<std::string> args_;
   std::size_t pos_ = static_cast<std::size_t>(-1);
 };
-
-/// A bundled network in its canonical configuration (see the header).
-struct ZooModel {
-  CnnModel model;
-  ModelImpl impl;
-  std::vector<std::vector<int>> groups;
-};
-
-ZooModel load_zoo_model(const std::string& name) {
-  const ZooEntry* entry = find_zoo_model(name);
-  if (entry == nullptr) {
-    throw std::invalid_argument("unknown model '" + name + "' (" + zoo_model_names() + ")");
-  }
-  ZooModel m{entry->make(), {}, {}};
-  m.impl = choose_implementation(m.model, entry->dsp_budget, entry->max_tile);
-  m.groups = default_grouping(m.model);
-  return m;
-}
 
 CompileService::SessionResult compile(const Device& device, const ZooModel& m,
                                       const PreImplOptions& opt = {}) {
