@@ -46,11 +46,9 @@ struct RouteSample {
   double cpu = 0.0;         // of the best run
 };
 
-RouteSample route_snapshot(const Device& device, const ComposedDesign& snapshot, int width,
+RouteSample route_snapshot(const Device& device, const ComposedDesign& snapshot,
                            bool incremental, int repeats) {
-  ThreadPool pool(static_cast<std::size_t>(width));
   RouteOptions opt;
-  opt.pool = &pool;
   opt.incremental = incremental;
   opt.max_iterations = 40;
   RouteSample sample;
@@ -228,13 +226,13 @@ int main(int argc, char** argv) {
 
   // Inter-component routing study: the dominant online stage (paper Fig. 6
   // discussion). Snapshot the composed+placed design, then route it under
-  // each configuration: serial vs 4 threads (disjoint-bbox batches), the
-  // legacy full rip-up baseline, and a congested variant (extra open
-  // traffic nets concentrated on the middle band of the die) where
-  // incremental rip-up's shrinking worklist is visible.
+  // each configuration: incremental rip-up, the full rip-up oracle, and a
+  // congested variant (extra open traffic nets concentrated on the middle
+  // band of the die) where incremental rip-up's shrinking worklist is
+  // visible.
   const int repeats = quick ? 2 : 3;
   const int traffic_pairs = quick ? 300 : 500;
-  Table routes("inter-component routing: parallel incremental PathFinder");
+  Table routes("inter-component routing: incremental PathFinder");
   routes.set_header({"network", "config", "wall (s)", "cpu (s)", "iters", "nets",
                      "rerouted/iter"});
   JsonWriter json;
@@ -243,39 +241,29 @@ int main(int argc, char** argv) {
     const ComposedDesign snapshot = compose_and_place(device, run);
     ComposedDesign congested = snapshot;
     add_traffic(device, congested, traffic_pairs, 7);
-    const RouteSample serial = route_snapshot(device, snapshot, 1, true, repeats);
-    const RouteSample wide = route_snapshot(device, snapshot, 4, true, repeats);
-    const RouteSample full = route_snapshot(device, snapshot, 1, false, repeats);
-    const RouteSample congested1 = route_snapshot(device, congested, 1, true, repeats);
-    const RouteSample congested4 = route_snapshot(device, congested, 4, true, repeats);
-    const RouteSample congested_full = route_snapshot(device, congested, 1, false, repeats);
+    const RouteSample serial = route_snapshot(device, snapshot, true, repeats);
+    const RouteSample full = route_snapshot(device, snapshot, false, repeats);
+    const RouteSample congested1 = route_snapshot(device, congested, true, repeats);
+    const RouteSample congested_full = route_snapshot(device, congested, false, repeats);
     auto route_row = [&](const char* config, const RouteSample& sample) {
       routes.add_row({name, config, Table::fmt(sample.best_wall, 4),
                       Table::fmt(sample.cpu, 4), std::to_string(sample.result.iterations),
                       std::to_string(sample.result.nets_routed),
                       rerouted_digest(sample.result)});
     };
-    route_row("serial incremental", serial);
-    route_row("4-thread incremental", wide);
-    route_row("serial full rip-up", full);
-    route_row("congested (+traffic) serial", congested1);
-    route_row("congested (+traffic) 4-thread", congested4);
+    route_row("incremental", serial);
+    route_row("full rip-up", full);
+    route_row("congested (+traffic) incremental", congested1);
     route_row("congested (+traffic) full rip-up", congested_full);
-    std::printf("%s: 4-thread route speedup %.2fx wall (congested %.2fx); "
-                "incremental vs full rip-up %.2fx (congested %.2fx)\n",
-                name.c_str(), serial.best_wall / std::max(1e-9, wide.best_wall),
-                congested1.best_wall / std::max(1e-9, congested4.best_wall),
+    std::printf("%s: incremental vs full rip-up %.2fx (congested %.2fx)\n", name.c_str(),
                 full.best_wall / std::max(1e-9, serial.best_wall),
                 congested_full.best_wall / std::max(1e-9, congested1.best_wall));
 
     json.key(name).begin_object();
     json_sample(json, "serial", serial);
-    json_sample(json, "threads4", wide);
     json_sample(json, "full_ripup", full);
     json_sample(json, "congested_serial", congested1);
-    json_sample(json, "congested_threads4", congested4);
     json_sample(json, "congested_full_ripup", congested_full);
-    json.key("route_speedup_4t").value(serial.best_wall / std::max(1e-9, wide.best_wall));
     json.key("incremental_speedup_vs_full")
         .value(full.best_wall / std::max(1e-9, serial.best_wall));
     json.key("congested_incremental_speedup_vs_full")

@@ -120,19 +120,16 @@ struct CongestedCorridor {
 void BM_RouteCongested(benchmark::State& state) {
   const Device device = make_tiny_device();
   CongestedCorridor fixture;
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  RouteOptions opt = fixture.opt;
-  opt.pool = &pool;
   int iterations = 0;
   for (auto _ : state) {
     PhysState phys = fixture.phys;
-    RouteResult result = route_design(device, fixture.netlist, phys, opt);
+    RouteResult result = route_design(device, fixture.netlist, phys, fixture.opt);
     iterations = result.iterations;
     benchmark::DoNotOptimize(result.edges_used);
   }
   state.counters["negotiation_iters"] = iterations;
 }
-BENCHMARK(BM_RouteCongested)->Arg(1)->Arg(4);
+BENCHMARK(BM_RouteCongested);
 
 void BM_StaComponent(benchmark::State& state) {
   const Device device = make_xcku5p_sim();
@@ -161,16 +158,14 @@ void BM_OocComponent(benchmark::State& state) {
 BENCHMARK(BM_OocComponent);
 
 /// Machine-readable routing numbers for the perf trajectory across PRs:
-/// the congested corridor at 1 and 4 threads, incremental vs full rip-up.
+/// the congested corridor, incremental vs full rip-up.
 void write_route_json() {
   const Device device = make_tiny_device();
   CongestedCorridor fixture;
   JsonWriter json;
   json.begin_object();
-  auto sample = [&](const char* name, int width, bool incremental) {
-    ThreadPool pool(static_cast<std::size_t>(width));
+  auto sample = [&](const char* name, bool incremental) {
     RouteOptions opt = fixture.opt;
-    opt.pool = &pool;
     opt.incremental = incremental;
     RouteResult best;
     for (int r = 0; r < 3; ++r) {
@@ -189,9 +184,8 @@ void write_route_json() {
     json.end_array();
     json.end_object();
   };
-  sample("congested_serial", 1, true);
-  sample("congested_threads4", 4, true);
-  sample("congested_full_ripup", 1, false);
+  sample("congested_serial", true);
+  sample("congested_full_ripup", false);
   json.end_object();
   if (update_json_file("BENCH_route.json", "micro_cad", json.str())) {
     std::puts("wrote BENCH_route.json (micro_cad section)");

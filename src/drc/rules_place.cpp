@@ -159,38 +159,30 @@ class PlaceTileCrowdingRule final : public DrcRule {
     const PhysState& phys = *ctx.phys;
     if (phys.cell_loc.size() != nl.cell_count()) return;  // reported by place-bounds
     const Device& device = *ctx.device;
-    const int w = device.width(), h = device.height();
     // Replays the tile-assignment accounting: every cell takes capacity
     // from an expanding ring around its anchor tile (wide macro-cells
     // legally spread over adjacent tiles). A cell whose footprint cannot
     // be satisfied within tile_spill_radius indicates a crowded region.
-    std::vector<ResourceVec> remaining(static_cast<std::size_t>(w) * h);
-    for (int x = 0; x < w; ++x) {
-      for (int y = 0; y < h; ++y) {
-        remaining[static_cast<std::size_t>(y) * w + x] = device.tile_capacity(x, y);
-      }
+    // The rings never leave the placed cells' bounding box grown by the
+    // spill radius, so the capacity grid covers only that.
+    const int radius = std::max(0, ctx.tile_spill_radius);
+    Pblock area{device.width(), device.height(), -1, -1};
+    for (const TileCoord loc : phys.cell_loc) {
+      if (loc == kUnplaced || !device.in_bounds(loc.x, loc.y)) continue;
+      area = Pblock{std::min(area.x0, loc.x), std::min(area.y0, loc.y), std::max(area.x1, loc.x),
+                    std::max(area.y1, loc.y)};
     }
+    if (area.x1 < 0) return;  // nothing placed
+    area = Pblock{std::max(0, area.x0 - radius), std::max(0, area.y0 - radius),
+                  std::min(device.width() - 1, area.x1 + radius),
+                  std::min(device.height() - 1, area.y1 + radius)};
+    std::vector<ResourceVec> remaining = tile_capacities(device, area);
     for (CellId c = 0; c < nl.cell_count(); ++c) {
       const TileCoord loc = phys.cell_loc[c];
       if (loc == kUnplaced || !device.in_bounds(loc.x, loc.y)) continue;
       ResourceVec left = Netlist::cell_footprint(nl.cell(c));
       if (left.is_zero()) continue;
-      for (int radius = 0; radius <= ctx.tile_spill_radius && !left.is_zero(); ++radius) {
-        const int x_lo = std::max(0, loc.x - radius), x_hi = std::min(w - 1, loc.x + radius);
-        const int y_lo = std::max(0, loc.y - radius), y_hi = std::min(h - 1, loc.y + radius);
-        for (int x = x_lo; x <= x_hi && !left.is_zero(); ++x) {
-          for (int y = y_lo; y <= y_hi && !left.is_zero(); ++y) {
-            if (radius > 0 && x != x_lo && x != x_hi && y != y_lo && y != y_hi) continue;
-            ResourceVec& have = remaining[static_cast<std::size_t>(y) * w + x];
-            const ResourceVec take{std::min(left.lut, have.lut), std::min(left.ff, have.ff),
-                                   std::min(left.carry, have.carry), std::min(left.dsp, have.dsp),
-                                   std::min(left.bram, have.bram)};
-            if (take.is_zero()) continue;
-            have -= take;
-            left -= take;
-          }
-        }
-      }
+      drain_rings(area, remaining, loc, ctx.tile_spill_radius, left);
       if (!left.is_zero()) {
         report.add({id(), severity(),
                     "cell #" + std::to_string(c) + " ('" + nl.cell(c).name + "') at " +

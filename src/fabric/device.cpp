@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <sstream>
 
 namespace fpgasim {
@@ -27,13 +28,22 @@ Device::Device(std::string name, std::vector<ColumnType> columns, int rows,
   for (std::size_t x = 0; x < columns_.size(); ++x) {
     io_prefix_[x + 1] = io_prefix_[x] + (columns_[x] == ColumnType::kIo ? 1 : 0);
   }
-  for (int x = 0; x < width(); ++x) {
-    for (int y = 0; y < rows_; ++y) total_ += tile_capacity(x, y);
+  constexpr ColumnType kTypes[] = {ColumnType::kClb, ColumnType::kDsp, ColumnType::kBram,
+                                   ColumnType::kIo};
+  type_prefix_.resize(std::size(kTypes) * (static_cast<std::size_t>(rows_) + 1));
+  for (ColumnType type : kTypes) {
+    const std::size_t base = static_cast<std::size_t>(type) * (rows_ + 1);
+    for (int y = 0; y < rows_; ++y) {
+      type_prefix_[base + y + 1] = type_prefix_[base + y] + site_capacity(type, y);
+    }
   }
+  for (int x = 0; x < width(); ++x) total_ += column_capacity(x, 0, rows_);
 }
 
-ResourceVec Device::tile_capacity(int x, int y) const {
-  switch (column_type(x)) {
+ResourceVec Device::tile_capacity(int x, int y) const { return site_capacity(column_type(x), y); }
+
+ResourceVec Device::site_capacity(ColumnType type, int y) {
+  switch (type) {
     case ColumnType::kClb:
       return ResourceVec{.lut = 8, .ff = 16, .carry = 1};
     case ColumnType::kDsp:

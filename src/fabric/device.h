@@ -48,6 +48,14 @@ class Device {
   /// pitch of hard blocks on real fabric.
   ResourceVec tile_capacity(int x, int y) const;
 
+  /// Capacity of column x over rows [y0, y0 + h), in O(1) from prefix sums
+  /// built at construction. Requires 0 <= y0 and y0 + h <= height().
+  ResourceVec column_capacity(int x, int y0, int h) const {
+    const std::size_t base = static_cast<std::size_t>(column_type(x)) * (rows_ + 1);
+    return type_prefix_[base + static_cast<std::size_t>(y0 + h)] -
+           type_prefix_[base + static_cast<std::size_t>(y0)];
+  }
+
   /// Total device capacity (cached at construction).
   const ResourceVec& total() const { return total_; }
 
@@ -65,12 +73,19 @@ class Device {
   std::string describe() const;
 
  private:
+  /// Capacity of the tile in row y of a column of `type`.
+  static ResourceVec site_capacity(ColumnType type, int y);
+
   std::string name_;
   std::vector<ColumnType> columns_;
   int rows_;
   int cr_height_;
   ResourceVec total_;
   std::vector<int> io_prefix_;  // io_prefix_[x] = #IO columns in [0, x)
+  // A tile's capacity depends only on its column's type and its row, so one
+  // prefix per column type serves every column:
+  // type_prefix_[type * (rows + 1) + y] = capacity of rows [0, y).
+  std::vector<ResourceVec> type_prefix_;
 };
 
 /// ~xcku5p-scale device calibrated to the paper's Table II utilization

@@ -12,42 +12,63 @@ std::string Pblock::to_string() const {
 }
 
 ResourceVec pblock_resources(const Device& device, const Pblock& pblock) {
+  const int y0 = std::max(0, pblock.y0);
+  const int h = std::min(device.height() - 1, pblock.y1) - y0 + 1;
   ResourceVec total;
+  if (h <= 0) return total;
   for (int x = std::max(0, pblock.x0); x <= std::min(device.width() - 1, pblock.x1); ++x) {
-    for (int y = std::max(0, pblock.y0); y <= std::min(device.height() - 1, pblock.y1); ++y) {
-      total += device.tile_capacity(x, y);
-    }
+    total += device.column_capacity(x, y0, h);
   }
   return total;
 }
 
-namespace {
-
-// prefix[x][y] = capacity of column x over rows [0, y).
-std::vector<std::vector<ResourceVec>> column_prefix_sums(const Device& device) {
-  std::vector<std::vector<ResourceVec>> prefix(
-      static_cast<std::size_t>(device.width()),
-      std::vector<ResourceVec>(static_cast<std::size_t>(device.height()) + 1));
-  for (int x = 0; x < device.width(); ++x) {
-    for (int y = 0; y < device.height(); ++y) {
-      prefix[static_cast<std::size_t>(x)][static_cast<std::size_t>(y) + 1] =
-          prefix[static_cast<std::size_t>(x)][static_cast<std::size_t>(y)] +
+std::vector<ResourceVec> tile_capacities(const Device& device, const Pblock& area) {
+  std::vector<ResourceVec> caps(static_cast<std::size_t>(std::max(0, area.width())) *
+                                static_cast<std::size_t>(std::max(0, area.height())));
+  for (int y = area.y0; y <= area.y1; ++y) {
+    for (int x = area.x0; x <= area.x1; ++x) {
+      caps[static_cast<std::size_t>(y - area.y0) * area.width() + (x - area.x0)] =
           device.tile_capacity(x, y);
     }
   }
-  return prefix;
+  return caps;
 }
 
-}  // namespace
+TileCoord drain_rings(const Pblock& area, std::vector<ResourceVec>& remaining, TileCoord center,
+                      int max_radius, ResourceVec& left) {
+  TileCoord first{-1, -1};
+  auto take_from = [&](int x, int y) {
+    ResourceVec& cap =
+        remaining[static_cast<std::size_t>(y - area.y0) * area.width() + (x - area.x0)];
+    const ResourceVec take{std::min(left.lut, cap.lut), std::min(left.ff, cap.ff),
+                           std::min(left.carry, cap.carry), std::min(left.dsp, cap.dsp),
+                           std::min(left.bram, cap.bram)};
+    if (take.is_zero()) return;
+    cap -= take;
+    left -= take;
+    if (first.x < 0) first = TileCoord{x, y};
+  };
+  for (int r = 0; r <= max_radius && !left.is_zero(); ++r) {
+    const int x_lo = std::max(area.x0, center.x - r), x_hi = std::min(area.x1, center.x + r);
+    const int y_lo = std::max(area.y0, center.y - r), y_hi = std::min(area.y1, center.y + r);
+    for (int x = x_lo; x <= x_hi && !left.is_zero(); ++x) {
+      if (x == x_lo || x == x_hi) {
+        for (int y = y_lo; y <= y_hi && !left.is_zero(); ++y) take_from(x, y);
+      } else if (y_lo <= y_hi) {
+        take_from(x, y_lo);
+        if (y_hi != y_lo && !left.is_zero()) take_from(x, y_hi);
+      }
+    }
+    if (center.x - r <= area.x0 && center.x + r >= area.x1 && center.y - r <= area.y0 &&
+        center.y + r >= area.y1) {
+      break;
+    }
+  }
+  return first;
+}
 
 std::optional<Pblock> find_min_pblock(const Device& device, const ResourceVec& need,
                                       double aspect_pref, int max_width) {
-  const auto prefix = column_prefix_sums(device);
-  auto column_window = [&](int x, int y0, int h) {
-    return prefix[static_cast<std::size_t>(x)][static_cast<std::size_t>(y0 + h)] -
-           prefix[static_cast<std::size_t>(x)][static_cast<std::size_t>(y0)];
-  };
-
   std::optional<Pblock> best;
   double best_score = std::numeric_limits<double>::infinity();
 
@@ -73,11 +94,11 @@ std::optional<Pblock> find_min_pblock(const Device& device, const ResourceVec& n
         while (!need.fits_in(have) && x1 + 1 < device.width() &&
                (max_width <= 0 || x1 - x0 + 1 < max_width)) {
           ++x1;
-          have += column_window(x1, y0, h);
+          have += device.column_capacity(x1, y0, h);
         }
         if (!need.fits_in(have)) {
           if (max_width <= 0) break;  // no window starting >= x0 can fit
-          have -= column_window(x0, y0, h);
+          have -= device.column_capacity(x0, y0, h);
           continue;  // width-capped: slide the whole window right
         }
         const Pblock cand{x0, y0, x1, y0 + h - 1};
@@ -92,7 +113,7 @@ std::optional<Pblock> find_min_pblock(const Device& device, const ResourceVec& n
           best = cand;
         }
         // Slide: drop column x0 before advancing the left edge.
-        have -= column_window(x0, y0, h);
+        have -= device.column_capacity(x0, y0, h);
       }
     }
   }

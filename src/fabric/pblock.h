@@ -32,6 +32,21 @@ struct Pblock {
   std::string to_string() const;
 };
 
+/// Capacity of every tile of `area` (inside the device), row-major from
+/// its (x0, y0) corner: the grid drain_rings takes capacity from.
+std::vector<ResourceVec> tile_capacities(const Device& device, const Pblock& area);
+
+/// Takes `left` out of `remaining` (a tile_capacities grid of `area`)
+/// around `center`, in square rings of radius 0, 1, ..., max_radius clipped
+/// to `area`: the spill of a wide macro-cell over adjacent tiles. A ring is
+/// walked column by column from its west edge: its edge columns bottom to
+/// top, each interior column's bottom tile then its top tile. Stops as soon
+/// as `left` is zero, or once a ring covers all of `area` (a tile gives a
+/// cell nothing on a second visit). Returns the first tile that
+/// contributed, or (-1, -1) when none did.
+TileCoord drain_rings(const Pblock& area, std::vector<ResourceVec>& remaining, TileCoord center,
+                      int max_radius, ResourceVec& left);
+
 /// Sum of tile capacities inside the rectangle.
 ResourceVec pblock_resources(const Device& device, const Pblock& pblock);
 

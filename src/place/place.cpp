@@ -137,12 +137,21 @@ SaResult place_sa(const Device& device, const std::vector<PlaceItem>& items,
     }
   }
 
+  // Bin x/y of every item, kept in step with item_bin so the HPWL of a net
+  // needs no div/mod.
+  std::vector<int> item_bx(items.size()), item_by(items.size());
+  auto set_bin = [&](std::size_t item, int bin) {
+    result.item_bin[item] = bin;
+    item_bx[item] = bin % grid.bins_x;
+    item_by[item] = bin / grid.bins_x;
+  };
+  for (std::size_t i = 0; i < items.size(); ++i) set_bin(i, result.item_bin[i]);
+
   auto net_hpwl = [&](const PlaceNet& net) {
     int min_x = 1 << 30, max_x = -(1 << 30), min_y = 1 << 30, max_y = -(1 << 30);
     for (std::int32_t item : net.items) {
-      const int bin = result.item_bin[static_cast<std::size_t>(item)];
-      const int bx = bin % grid.bins_x;
-      const int by = bin / grid.bins_x;
+      const int bx = item_bx[static_cast<std::size_t>(item)];
+      const int by = item_by[static_cast<std::size_t>(item)];
       min_x = std::min(min_x, bx);
       max_x = std::max(max_x, bx);
       min_y = std::min(min_y, by);
@@ -157,10 +166,18 @@ SaResult place_sa(const Device& device, const std::vector<PlaceItem>& items,
                             grid.capacity[static_cast<std::size_t>(bin)]);
   };
 
+  // Every net's HPWL and every bin's penalty at the current placement:
+  // exactly the values recomputing them would return, so a move's "before"
+  // cost is read, not recomputed. Only an accepted move writes them.
+  std::vector<double> hpwl_of(nets.size());
+  for (std::size_t n = 0; n < nets.size(); ++n) hpwl_of[n] = net_hpwl(nets[n]);
+  std::vector<double> penalty_of(static_cast<std::size_t>(num_bins));
+  for (int b = 0; b < num_bins; ++b) penalty_of[static_cast<std::size_t>(b)] = bin_penalty(b);
+
   double hpwl = 0.0;
-  for (const PlaceNet& net : nets) hpwl += net_hpwl(net);
+  for (double v : hpwl_of) hpwl += v;
   double penalty = 0.0;
-  for (int b = 0; b < num_bins; ++b) penalty += bin_penalty(b);
+  for (double v : penalty_of) penalty += v;
   constexpr double kLambda = 6.0;
 
   Rng rng(opt.seed);
@@ -179,28 +196,53 @@ SaResult place_sa(const Device& device, const std::vector<PlaceItem>& items,
   const int stages = 48;
   const std::size_t moves_per_stage = total_moves / stages + 1;
 
-  auto try_move = [&](std::size_t item, int to_bin, double temperature) {
+  // Moves `item` to `to_bin`; `keep(cost change)` decides whether the move
+  // stands (caches updated, returns true) or is undone.
+  std::vector<double> after_hpwl;
+  auto evaluate_move = [&](std::size_t item, int to_bin, auto&& keep) {
     const int from_bin = result.item_bin[item];
-    if (from_bin == to_bin) return false;
-    double before = kLambda * (bin_penalty(from_bin) + bin_penalty(to_bin));
-    for (std::int32_t n : item_nets[item]) before += net_hpwl(nets[static_cast<std::size_t>(n)]);
+    const std::vector<std::int32_t>& touched = item_nets[item];
+    double before = kLambda * (penalty_of[static_cast<std::size_t>(from_bin)] +
+                               penalty_of[static_cast<std::size_t>(to_bin)]);
+    for (std::int32_t n : touched) before += hpwl_of[static_cast<std::size_t>(n)];
 
     usage[static_cast<std::size_t>(from_bin)] -= items[item].res;
     usage[static_cast<std::size_t>(to_bin)] += items[item].res;
-    result.item_bin[item] = to_bin;
+    set_bin(item, to_bin);
 
-    double after = kLambda * (bin_penalty(from_bin) + bin_penalty(to_bin));
-    for (std::int32_t n : item_nets[item]) after += net_hpwl(nets[static_cast<std::size_t>(n)]);
+    const double from_penalty = bin_penalty(from_bin);
+    const double to_penalty = bin_penalty(to_bin);
+    double after = kLambda * (from_penalty + to_penalty);
+    after_hpwl.clear();
+    for (std::int32_t n : touched) {
+      after_hpwl.push_back(net_hpwl(nets[static_cast<std::size_t>(n)]));
+      after += after_hpwl.back();
+    }
 
     const double dc = after - before;
-    if (dc <= 0.0 || rng.next_double() < std::exp(-dc / temperature)) return true;
+    if (keep(dc)) {
+      penalty_of[static_cast<std::size_t>(from_bin)] = from_penalty;
+      penalty_of[static_cast<std::size_t>(to_bin)] = to_penalty;
+      for (std::size_t k = 0; k < touched.size(); ++k) {
+        hpwl_of[static_cast<std::size_t>(touched[k])] = after_hpwl[k];
+      }
+      return true;
+    }
     usage[static_cast<std::size_t>(to_bin)] -= items[item].res;
     usage[static_cast<std::size_t>(from_bin)] += items[item].res;
-    result.item_bin[item] = from_bin;
+    set_bin(item, from_bin);
     return false;
   };
 
-  // Temperature calibration.
+  auto try_move = [&](std::size_t item, int to_bin, double temperature) {
+    if (result.item_bin[item] == to_bin) return false;
+    return evaluate_move(item, to_bin, [&](double dc) {
+      return dc <= 0.0 || rng.next_double() < std::exp(-dc / temperature);
+    });
+  };
+
+  // Temperature calibration: the mean |cost change| of random moves, each
+  // undone.
   double avg_dc = 1.0;
   {
     double sum = 0.0;
@@ -208,21 +250,11 @@ SaResult place_sa(const Device& device, const std::vector<PlaceItem>& items,
     for (int s = 0; s < 64; ++s) {
       const std::size_t item = movable[rng.next_below(movable.size())];
       const int to_bin = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(num_bins)));
-      const int from_bin = result.item_bin[item];
-      if (from_bin == to_bin) continue;
-      double before = kLambda * (bin_penalty(from_bin) + bin_penalty(to_bin));
-      for (std::int32_t n : item_nets[item])
-        before += net_hpwl(nets[static_cast<std::size_t>(n)]);
-      usage[static_cast<std::size_t>(from_bin)] -= items[item].res;
-      usage[static_cast<std::size_t>(to_bin)] += items[item].res;
-      result.item_bin[item] = to_bin;
-      double after = kLambda * (bin_penalty(from_bin) + bin_penalty(to_bin));
-      for (std::int32_t n : item_nets[item])
-        after += net_hpwl(nets[static_cast<std::size_t>(n)]);
-      usage[static_cast<std::size_t>(to_bin)] -= items[item].res;
-      usage[static_cast<std::size_t>(from_bin)] += items[item].res;
-      result.item_bin[item] = from_bin;
-      sum += std::abs(after - before);
+      if (result.item_bin[item] == to_bin) continue;
+      evaluate_move(item, to_bin, [&](double dc) {
+        sum += std::abs(dc);
+        return false;
+      });
       ++samples;
     }
     if (samples > 0) avg_dc = std::max(1e-6, sum / samples);
@@ -241,9 +273,8 @@ SaResult place_sa(const Device& device, const std::vector<PlaceItem>& items,
     std::size_t accepted = 0;
     for (std::size_t m = 0; m < moves_per_stage; ++m) {
       const std::size_t item = movable[rng.next_below(movable.size())];
-      const int from_bin = result.item_bin[item];
-      const int fx = from_bin % grid.bins_x;
-      const int fy = from_bin / grid.bins_x;
+      const int fx = item_bx[item];
+      const int fy = item_by[item];
       const int wi = std::max(1, static_cast<int>(window));
       const int tx = std::clamp(fx + static_cast<int>(rng.next_int(-wi, wi)), 0,
                                 grid.bins_x - 1);
@@ -261,9 +292,8 @@ SaResult place_sa(const Device& device, const std::vector<PlaceItem>& items,
   // Final greedy descent (zero temperature) pass.
   for (std::size_t i = 0; i < movable.size(); ++i) {
     const std::size_t item = movable[i];
-    const int from_bin = result.item_bin[item];
-    const int fx = from_bin % grid.bins_x;
-    const int fy = from_bin / grid.bins_x;
+    const int fx = item_bx[item];
+    const int fy = item_by[item];
     for (int dy = -1; dy <= 1; ++dy) {
       for (int dx = -1; dx <= 1; ++dx) {
         const int tx = std::clamp(fx + dx, 0, grid.bins_x - 1);
@@ -370,22 +400,11 @@ void assign_cells_to_tiles(const Device& device, const Netlist& netlist,
                            const SaOptions& opt, PhysState& phys) {
   phys.resize_for(netlist);
 
-  // Remaining capacity per tile in the region.
-  const int rw = opt.region.width();
-  const int rh = opt.region.height();
-  std::vector<ResourceVec> remaining(static_cast<std::size_t>(rw) * rh);
-  for (int x = 0; x < rw; ++x) {
-    for (int y = 0; y < rh; ++y) {
-      const int gx = opt.region.x0 + x;
-      const int gy = opt.region.y0 + y;
-      if (device.in_bounds(gx, gy)) {
-        remaining[static_cast<std::size_t>(y) * rw + x] = device.tile_capacity(gx, gy);
-      }
-    }
-  }
-  auto rem_at = [&](int gx, int gy) -> ResourceVec& {
-    return remaining[static_cast<std::size_t>(gy - opt.region.y0) * rw + (gx - opt.region.x0)];
-  };
+  // Remaining capacity per tile of the region (clipped to the device).
+  const Pblock area{std::max(opt.region.x0, 0), std::max(opt.region.y0, 0),
+                    std::min(opt.region.x1, device.width() - 1),
+                    std::min(opt.region.y1, device.height() - 1)};
+  std::vector<ResourceVec> remaining = tile_capacities(device, area);
 
   for (CellId c = 0; c < netlist.cell_count(); ++c) {
     const Cell& cell = netlist.cell(c);
@@ -402,28 +421,8 @@ void assign_cells_to_tiles(const Device& device, const Netlist& netlist,
     // adjacent tiles: take capacity from an expanding ring around the bin
     // center and anchor the cell at the first contributing tile.
     ResourceVec left = need;
-    TileCoord anchor = kUnplaced;
-    const int max_radius = std::max(device.width(), device.height());
-    for (int radius = 0; radius <= max_radius && !left.is_zero(); ++radius) {
-      const int x_lo = std::max(opt.region.x0, center.x - radius);
-      const int x_hi = std::min({opt.region.x1, device.width() - 1, center.x + radius});
-      const int y_lo = std::max(opt.region.y0, center.y - radius);
-      const int y_hi = std::min({opt.region.y1, device.height() - 1, center.y + radius});
-      for (int gx = x_lo; gx <= x_hi && !left.is_zero(); ++gx) {
-        for (int gy = y_lo; gy <= y_hi && !left.is_zero(); ++gy) {
-          // Only the ring boundary (interior was covered at lower radii).
-          if (radius > 0 && gx != x_lo && gx != x_hi && gy != y_lo && gy != y_hi) continue;
-          ResourceVec& have = rem_at(gx, gy);
-          ResourceVec take{std::min(left.lut, have.lut), std::min(left.ff, have.ff),
-                           std::min(left.carry, have.carry), std::min(left.dsp, have.dsp),
-                           std::min(left.bram, have.bram)};
-          if (take.is_zero()) continue;
-          have -= take;
-          left -= take;
-          if (anchor == kUnplaced) anchor = TileCoord{gx, gy};
-        }
-      }
-    }
+    const TileCoord anchor = drain_rings(area, remaining, center,
+                                         std::max(device.width(), device.height()), left);
     if (!left.is_zero()) {
       throw std::runtime_error("assign_cells_to_tiles: region out of capacity for cell '" +
                                cell.name + "' (needs " + need.to_string() + ", short " +

@@ -3,61 +3,100 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <memory>
-#include <mutex>
 #include <utility>
 
+#include "util/aligned.h"
 #include "util/log.h"
 #include "util/timer.h"
 
 namespace fpgasim {
 namespace {
 
+/// A zero-filled array over a ZeroedBuffer: a route that touches a few
+/// tiles of a device-sized area pays for those pages only.
+template <typename T>
+class ZeroedArray {
+ public:
+  explicit ZeroedArray(std::size_t n)
+      : buf_(n * sizeof(T)), data_(buf_.template as<T>()), size_(n) {}
+  T& operator[](std::size_t i) { return data_[i]; }
+  const T& operator[](std::size_t i) const { return data_[i]; }
+  std::size_t size() const { return size_; }
+
+ private:
+  ZeroedBuffer buf_;
+  T* data_;
+  std::size_t size_;
+};
+
+/// The tiles a route may use: opt.region clipped to the device when
+/// bounded, else the whole device.
+Pblock routed_area(const Device& device, const RouteOptions& opt) {
+  Pblock area{0, 0, device.width() - 1, device.height() - 1};
+  if (!opt.bounded) return area;
+  return Pblock{std::max(area.x0, opt.region.x0), std::max(area.y0, opt.region.y0),
+                std::min(area.x1, opt.region.x1), std::min(area.y1, opt.region.y1)};
+}
+
+/// The routed area's channel graph. Only tiles of `area` exist: every array
+/// is indexed by area-local coordinates, so a bounded component route costs
+/// what its pblock needs, not the device.
 struct Graph {
-  int w = 0, h = 0;
-  RouteOptions opt;
+  Pblock area;       // device coordinates
+  int w = 0, h = 0;  // area extent; local (x, y) = device - (area.x0, area.y0)
+  const RouteOptions& opt;
   // Undirected edge arrays: horizontal (x,y)-(x+1,y) and vertical
   // (x,y)-(x,y+1).
-  std::vector<std::int16_t> use_h, use_v;
-  std::vector<float> hist_h, hist_v;
+  ZeroedArray<std::int16_t> use_h, use_v;
+  ZeroedArray<float> hist_h, hist_v;
   std::vector<float> base_h, base_v;
   // Per-edge -> routing-job reverse index (open nets only; locked nets
   // charge usage but are never ripped up, so they are not tracked). Drives
   // incremental rip-up: an overused edge dirties exactly its user jobs.
-  std::vector<std::vector<std::int32_t>> users_h, users_v;
+  // Each edge heads a singly linked list of `links` entries; 0 ends a list.
+  struct UserLink { std::int32_t job, next; };
+  ZeroedArray<std::int32_t> users_h, users_v;
+  std::vector<UserLink> links{UserLink{}};
+  std::vector<std::int32_t> free_links;
 
   Graph(const Device& device, const RouteOptions& options, const DelayModel& dm)
-      : w(device.width()), h(device.height()), opt(options) {
-    use_h.assign(static_cast<std::size_t>(w - 1) * h, 0);
-    use_v.assign(static_cast<std::size_t>(w) * (h - 1), 0);
-    hist_h.assign(use_h.size(), 0.f);
-    hist_v.assign(use_v.size(), 0.f);
-    base_h.assign(use_h.size(), 0.f);
-    base_v.assign(use_v.size(), 0.f);
-    users_h.resize(use_h.size());
-    users_v.resize(use_v.size());
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w - 1; ++x) {
-        double d = dm.wire_per_tile;
-        if (device.column_type(x + 1) == ColumnType::kIo) d += dm.wire_discontinuity;
-        base_h[h_idx(x, y)] = static_cast<float>(d);
-      }
-    }
-    for (int y = 0; y < h - 1; ++y) {
-      for (int x = 0; x < w; ++x) {
-        base_v[v_idx(x, y)] = static_cast<float>(dm.wire_per_tile);
-      }
+      : area(routed_area(device, options)),
+        w(std::max(0, area.width())),
+        h(std::max(0, area.height())),
+        opt(options),
+        use_h(h_edges()),
+        use_v(v_edges()),
+        hist_h(h_edges()),
+        hist_v(v_edges()),
+        base_h(h_edges()),
+        base_v(v_edges(), static_cast<float>(dm.wire_per_tile)),
+        users_h(h_edges()),
+        users_v(v_edges()) {
+    for (int x = 0; x + 1 < w; ++x) {
+      double d = dm.wire_per_tile;
+      if (device.column_type(area.x0 + x + 1) == ColumnType::kIo) d += dm.wire_discontinuity;
+      for (int y = 0; y < h; ++y) base_h[h_idx(x, y)] = static_cast<float>(d);
     }
   }
 
+  std::size_t h_edges() const { return static_cast<std::size_t>(std::max(0, w - 1)) * h; }
+  std::size_t v_edges() const { return static_cast<std::size_t>(w) * std::max(0, h - 1); }
   std::size_t h_idx(int x, int y) const { return static_cast<std::size_t>(y) * (w - 1) + x; }
   std::size_t v_idx(int x, int y) const { return static_cast<std::size_t>(y) * w + x; }
-  int node(int x, int y) const { return y * w + x; }
+  bool contains(TileCoord t) const { return area.contains(t.x, t.y); }
+  /// Local node id of a device tile inside the area. Row-major like the
+  /// device's own numbering, so node-id tie-breaks order tiles identically.
+  int node(TileCoord t) const { return (t.y - area.y0) * w + (t.x - area.x0); }
+  TileCoord tile(int node) const { return TileCoord{area.x0 + node % w, area.y0 + node / w}; }
 
-  /// Canonical (horizontal?, index) of the undirected edge a-b.
+  /// Canonical (horizontal?, index) of the undirected edge between the
+  /// adjacent local tiles a and b.
+  std::pair<bool, std::size_t> edge_index(int ax, int ay, int bx, int by) const {
+    if (ay == by) return {true, h_idx(std::min(ax, bx), ay)};
+    return {false, v_idx(ax, std::min(ay, by))};
+  }
   std::pair<bool, std::size_t> edge_index(TileCoord a, TileCoord b) const {
-    if (a.y == b.y) return {true, h_idx(std::min(a.x, b.x), a.y)};
-    return {false, v_idx(a.x, std::min(a.y, b.y))};
+    return edge_index(a.x - area.x0, a.y - area.y0, b.x - area.x0, b.y - area.y0);
   }
 
   /// Negotiated cost of traversing one edge in the current iteration.
@@ -78,11 +117,13 @@ struct Graph {
   }
 
   /// Usage of locked / pre-routed nets: no rip-up, so no reverse index.
-  void charge_locked(const RouteInfo& route, int delta) {
+  /// Edges outside the area cannot meet a routed net and are not charged.
+  void charge_locked(const RouteInfo& route) {
     for (const auto& [a, b] : route.edges) {
+      if (!contains(a) || !contains(b)) continue;
       const auto [horizontal, idx] = edge_index(a, b);
       std::int16_t& use = horizontal ? use_h[idx] : use_v[idx];
-      use = static_cast<std::int16_t>(use + delta);
+      use = static_cast<std::int16_t>(use + 1);
     }
   }
 
@@ -92,11 +133,25 @@ struct Graph {
       const auto [horizontal, idx] = edge_index(a, b);
       std::int16_t& use = horizontal ? use_h[idx] : use_v[idx];
       use = static_cast<std::int16_t>(use + delta);
-      std::vector<std::int32_t>& users = horizontal ? users_h[idx] : users_v[idx];
+      std::int32_t& head = horizontal ? users_h[idx] : users_v[idx];
       if (delta > 0) {
-        users.push_back(job);
+        std::int32_t slot = static_cast<std::int32_t>(links.size());
+        if (free_links.empty()) {
+          links.emplace_back();
+        } else {
+          slot = free_links.back();
+          free_links.pop_back();
+        }
+        links[static_cast<std::size_t>(slot)] = UserLink{job, head};
+        head = slot;
       } else {
-        users.erase(std::find(users.begin(), users.end(), job));
+        std::int32_t* at = &head;
+        while (links[static_cast<std::size_t>(*at)].job != job) {
+          at = &links[static_cast<std::size_t>(*at)].next;
+        }
+        const std::int32_t slot = *at;
+        *at = links[static_cast<std::size_t>(slot)].next;
+        free_links.push_back(slot);
       }
     }
   }
@@ -116,40 +171,40 @@ struct PqEntry {
   }
 };
 
-/// Per-worker search scratch: flat epoch-stamped arrays over the tile
-/// grid, so neither the A* search, the seed-tree walk nor the commit
-/// re-walk allocates or hashes per node. One Scratch is private to one
-/// net's routing at a time (leased from the ScratchPool below).
+/// Search scratch: flat epoch-stamped arrays over the area's tiles, so
+/// neither the A* search, the seed-tree walk nor the commit re-walk
+/// allocates or hashes per node. One Scratch serves every net of a
+/// route_design call in turn.
 struct Scratch {
-  std::vector<double> dist;      // A* best g per node        (search epoch)
-  std::vector<int> visit_stamp;  // dist/parent validity
-  std::vector<int> parent;
-  std::vector<int> target_stamp;       // goal nodes of the search
-  std::vector<int> target_dist;        // hops to nearest remaining target
-  std::vector<int> target_dist_stamp;  // (search epoch)
-  std::vector<double> tree_delay;      // driver->node delay   (tree epoch)
-  std::vector<int> tree_stamp;
-  std::vector<int> adj;                // 4 slots/node: route-tree adjacency
-  std::vector<std::uint8_t> adj_count;
-  std::vector<int> adj_stamp;          // (tree epoch)
+  // Stamps start at 0 and epochs at 1, so zero-filled arrays need no
+  // clearing; values are read only under a matching stamp.
+  ZeroedArray<double> dist;      // A* best g per node        (search epoch)
+  ZeroedArray<int> visit_stamp;  // dist/parent validity
+  ZeroedArray<int> parent;
+  ZeroedArray<int> target_stamp;       // goal nodes of the search
+  ZeroedArray<int> target_dist;        // hops to nearest remaining target
+  ZeroedArray<int> target_dist_stamp;  // (search epoch)
+  ZeroedArray<double> tree_delay;      // driver->node delay   (tree epoch)
+  ZeroedArray<int> tree_stamp;
+  ZeroedArray<int> adj;                // 4 slots/node: route-tree adjacency
+  ZeroedArray<std::uint8_t> adj_count;
+  ZeroedArray<int> adj_stamp;          // (tree epoch)
   std::vector<int> frontier, next_frontier;  // BFS worklists
   std::vector<PqEntry> heap;                 // A* priority queue storage
   int epoch = 0;
 
-  void ensure(std::size_t nodes) {
-    if (dist.size() >= nodes) return;
-    dist.resize(nodes);
-    visit_stamp.assign(nodes, -1);
-    parent.resize(nodes);
-    target_stamp.assign(nodes, -1);
-    target_dist.resize(nodes);
-    target_dist_stamp.assign(nodes, -1);
-    tree_delay.resize(nodes);
-    tree_stamp.assign(nodes, -1);
-    adj.resize(nodes * 4);
-    adj_count.resize(nodes);
-    adj_stamp.assign(nodes, -1);
-  }
+  explicit Scratch(std::size_t nodes)
+      : dist(nodes),
+        visit_stamp(nodes),
+        parent(nodes),
+        target_stamp(nodes),
+        target_dist(nodes),
+        target_dist_stamp(nodes),
+        tree_delay(nodes),
+        tree_stamp(nodes),
+        adj(nodes * 4),
+        adj_count(nodes),
+        adj_stamp(nodes) {}
 
   /// Loads `edges` into the adjacency arrays under `tree_epoch` and walks
   /// the tree from `root`, stamping tree_delay with the accumulated edge
@@ -165,7 +220,7 @@ struct Scratch {
       if (adj_count[n] < 4) adj[n * 4 + adj_count[n]++] = to;
     };
     for (const auto& [a, b] : edges) {
-      const int na = g.node(a.x, a.y), nb = g.node(b.x, b.y);
+      const int na = g.node(a), nb = g.node(b);
       link(na, nb);
       link(nb, na);
     }
@@ -183,10 +238,7 @@ struct Scratch {
         const int u = adj[vn * 4 + k];
         const std::size_t un = static_cast<std::size_t>(u);
         if (tree_stamp[un] == tree_epoch) continue;
-        const int vx = v % g.w, vy = v / g.w, ux = u % g.w, uy = u / g.w;
-        const bool horizontal = (vy == uy);
-        const std::size_t eidx = horizontal ? g.h_idx(std::min(vx, ux), vy)
-                                            : g.v_idx(vx, std::min(vy, uy));
+        const auto [horizontal, eidx] = g.edge_index(v % g.w, v / g.w, u % g.w, u / g.w);
         const double du = dv + g.edge_delay(horizontal, eidx);
         tree_stamp[un] = tree_epoch;
         tree_delay[un] = du;
@@ -197,39 +249,7 @@ struct Scratch {
   }
 };
 
-/// Lease-based pool of Scratch instances: one per concurrently routing
-/// net, reused across batches and iterations. Which physical Scratch a net
-/// gets does not matter — every array is epoch-stamped.
-class ScratchPool {
- public:
-  explicit ScratchPool(std::size_t nodes) : nodes_(nodes) {}
-
-  std::unique_ptr<Scratch> acquire() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!free_.empty()) {
-        std::unique_ptr<Scratch> s = std::move(free_.back());
-        free_.pop_back();
-        return s;
-      }
-    }
-    auto s = std::make_unique<Scratch>();
-    s->ensure(nodes_);
-    return s;
-  }
-
-  void release(std::unique_ptr<Scratch> s) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    free_.push_back(std::move(s));
-  }
-
- private:
-  std::size_t nodes_;
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<Scratch>> free_;
-};
-
-// One net to route: terminals as tile nodes.
+// One net to route: terminals as local tile nodes.
 struct Job {
   NetId net = kInvalidNet;
   int driver_node = -1;
@@ -239,61 +259,49 @@ struct Job {
   // route tree plus the delays of the sinks it already serves.
   std::vector<std::pair<TileCoord, TileCoord>> seed_edges;
   std::vector<double> old_delays;
-  // A* search region: the terminal/seed bounding box expanded by `margin`
-  // tiles and clamped to the device (and opt.region when bounded). The
-  // margin grows every time congestion rips the net up, so detours always
-  // eventually fit.
+  // A* search region (local coordinates): the terminal/seed bounding box
+  // expanded by `margin` tiles and clamped to the area. The margin grows
+  // every time congestion rips the net up, so detours always eventually
+  // fit.
   Pblock base_box;
   Pblock box;
   int margin = 0;
 };
 
 void clamp_box(Job& job, const Graph& graph) {
-  Pblock b = job.base_box;
-  b.x0 -= job.margin;
-  b.y0 -= job.margin;
-  b.x1 += job.margin;
-  b.y1 += job.margin;
-  b.x0 = std::max(b.x0, 0);
-  b.y0 = std::max(b.y0, 0);
-  b.x1 = std::min(b.x1, graph.w - 1);
-  b.y1 = std::min(b.y1, graph.h - 1);
-  if (graph.opt.bounded) {
-    b.x0 = std::max(b.x0, graph.opt.region.x0);
-    b.y0 = std::max(b.y0, graph.opt.region.y0);
-    b.x1 = std::min(b.x1, graph.opt.region.x1);
-    b.y1 = std::min(b.y1, graph.opt.region.y1);
-  }
-  job.box = b;
+  job.box = Pblock{std::max(job.base_box.x0 - job.margin, 0),
+                   std::max(job.base_box.y0 - job.margin, 0),
+                   std::min(job.base_box.x1 + job.margin, graph.w - 1),
+                   std::min(job.base_box.y1 + job.margin, graph.h - 1)};
 }
 
-void grow_box(Job& job, int x, int y) {
+void grow_box(Job& job, int node, const Graph& graph) {
+  const int x = node % graph.w, y = node / graph.w;
   job.base_box.x0 = std::min(job.base_box.x0, x);
   job.base_box.y0 = std::min(job.base_box.y0, y);
   job.base_box.x1 = std::max(job.base_box.x1, x);
   job.base_box.y1 = std::max(job.base_box.y1, y);
 }
 
-/// Splits `worklist` (ascending job indices) into batches whose search
-/// boxes are pairwise disjoint. A batch's nets read and write disjoint
-/// edge sets, so routing them concurrently is exactly equivalent to
-/// routing them one after another — which is what makes the parallel
-/// schedule byte-identical to the serial one. Conflicting boxes serialize
-/// into later batches (first-fit, probed through a coarse occupancy
-/// bitmap with an exact rectangle check on coarse collisions).
-std::vector<std::vector<std::size_t>> make_batches(const std::vector<Job>& jobs,
-                                                   const std::vector<std::size_t>& worklist,
-                                                   int w, int h) {
-  constexpr int kCell = 8;                // coarse grid granularity (tiles)
-  constexpr std::size_t kMaxProbe = 64;   // batches tried before opening a new one
+/// The order in which `worklist` (ascending job indices) is routed. Jobs
+/// are dealt into rounds: each joins the first open round (at most 64 are
+/// probed) none of whose boxes it overlaps, and rounds are routed one after
+/// another, each in net-index order. Jobs of one round touch disjoint
+/// edges, so only the order across rounds matters, and a job may route
+/// ahead of an earlier one whose box it overlaps. Every pinned route
+/// depends on this order; plain net-index order changes them. A coarse
+/// 8-tile occupancy bitmap per round prefilters the exact rectangle tests.
+std::vector<std::size_t> route_order(const std::vector<Job>& jobs,
+                                     const std::vector<std::size_t>& worklist, int w, int h) {
+  constexpr int kCell = 8;
+  constexpr std::size_t kMaxProbe = 64;
   const int gw = (w + kCell - 1) / kCell;
   const std::size_t words = (static_cast<std::size_t>(gw) * ((h + kCell - 1) / kCell) + 63) / 64;
-  struct Batch {
+  struct Round {
     std::vector<std::size_t> members;
-    std::vector<Pblock> boxes;
     std::vector<std::uint64_t> bits;
   };
-  std::vector<Batch> batches;
+  std::vector<Round> rounds;
   auto for_cells = [&](const Pblock& box, auto&& fn) {
     for (int cy = box.y0 / kCell; cy <= box.y1 / kCell; ++cy) {
       for (int cx = box.x0 / kCell; cx <= box.x1 / kCell; ++cx) {
@@ -303,47 +311,37 @@ std::vector<std::vector<std::size_t>> make_batches(const std::vector<Job>& jobs,
   };
   for (std::size_t j : worklist) {
     const Pblock& box = jobs[j].box;
-    Batch* home = nullptr;
-    const std::size_t probe = std::min(batches.size(), kMaxProbe);
-    for (std::size_t b = 0; b < probe && home == nullptr; ++b) {
-      Batch& cand = batches[b];
+    Round* home = nullptr;
+    for (std::size_t r = 0; r < std::min(rounds.size(), kMaxProbe) && home == nullptr; ++r) {
       bool coarse_hit = false;
       for_cells(box, [&](std::size_t cell) {
-        coarse_hit = coarse_hit || ((cand.bits[cell >> 6] >> (cell & 63)) & 1) != 0;
+        coarse_hit = coarse_hit || ((rounds[r].bits[cell >> 6] >> (cell & 63)) & 1) != 0;
       });
-      if (coarse_hit) {
-        // A shared coarse cell is conservative; confirm with exact tests.
-        bool overlap = false;
-        for (const Pblock& other : cand.boxes) {
-          if (box.overlaps(other)) {
-            overlap = true;
-            break;
-          }
-        }
-        if (overlap) continue;
+      const auto overlaps = [&](std::size_t m) { return box.overlaps(jobs[m].box); };
+      const std::vector<std::size_t>& members = rounds[r].members;
+      if (!coarse_hit || std::none_of(members.begin(), members.end(), overlaps)) {
+        home = &rounds[r];
       }
-      home = &cand;
     }
     if (home == nullptr) {
-      batches.emplace_back();
-      home = &batches.back();
+      home = &rounds.emplace_back();
       home->bits.assign(words, 0);
     }
     home->members.push_back(j);
-    home->boxes.push_back(box);
     for_cells(box, [&](std::size_t cell) {
       home->bits[cell >> 6] |= std::uint64_t{1} << (cell & 63);
     });
   }
-  std::vector<std::vector<std::size_t>> out;
-  out.reserve(batches.size());
-  for (Batch& b : batches) out.push_back(std::move(b.members));
-  return out;
+  std::vector<std::size_t> order;
+  order.reserve(worklist.size());
+  for (const Round& round : rounds) {
+    order.insert(order.end(), round.members.begin(), round.members.end());
+  }
+  return order;
 }
 
-/// Routes one net inside its bounding box against the current usage.
-/// Reads the graph, writes only `route` and `scratch` — never shared
-/// state — so jobs of one batch can run on any thread in any order.
+/// Routes one net inside its bounding box against the current usage,
+/// writing only `route` and the scratch.
 bool route_job(const Graph& graph, const Netlist& netlist, const DelayModel& dm,
                const Job& job, RouteInfo& route, double pressure, Scratch& s) {
   const int w = graph.w;
@@ -472,12 +470,9 @@ bool route_job(const Graph& graph, const Netlist& netlist, const DelayModel& dm,
     double delay = s.tree_delay[static_cast<std::size_t>(path.front())];
     for (std::size_t i = 1; i < path.size(); ++i) {
       const int a = path[i - 1], b = path[i];
-      const int ax = a % w, ay = a / w, bx = b % w, by = b / w;
-      const bool horizontal = (ay == by);
-      const std::size_t eidx = horizontal ? graph.h_idx(std::min(ax, bx), ay)
-                                          : graph.v_idx(ax, std::min(ay, by));
+      const auto [horizontal, eidx] = graph.edge_index(a % w, a / w, b % w, b / w);
       delay += graph.edge_delay(horizontal, eidx);
-      route.edges.emplace_back(TileCoord{ax, ay}, TileCoord{bx, by});
+      route.edges.emplace_back(graph.tile(a), graph.tile(b));
       const std::size_t bn = static_cast<std::size_t>(b);
       if (s.tree_stamp[bn] != tree_epoch) {
         s.tree_stamp[bn] = tree_epoch;
@@ -517,8 +512,8 @@ std::string RouteResult::iteration_summary() const {
   char buf[112];
   for (std::size_t i = 0; i < iteration_stats.size(); ++i) {
     const RouteIterationStats& s = iteration_stats[i];
-    std::snprintf(buf, sizeof(buf), "%si%zu: %d rerouted/%ld over/%d batches/%.2fms wall/%.2fms cpu",
-                  i == 0 ? "" : "; ", i + 1, s.nets_rerouted, s.overused_edges, s.batches,
+    std::snprintf(buf, sizeof(buf), "%si%zu: %d rerouted/%ld over/%.2fms wall/%.2fms cpu",
+                  i == 0 ? "" : "; ", i + 1, s.nets_rerouted, s.overused_edges,
                   s.wall_seconds * 1e3, s.cpu_seconds * 1e3);
     out += buf;
   }
@@ -530,23 +525,32 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
   RouteResult result;
   Stopwatch route_wall;
   CpuStopwatch route_cpu;
+  auto fail = [&](std::string error) {
+    result.error = std::move(error);
+    result.wall_seconds = route_wall.seconds();
+    result.cpu_seconds = route_cpu.seconds();
+    return result;
+  };
   phys.resize_for(netlist);
   Graph graph(device, opt, dm);
-  const int w = graph.w, h = graph.h;
-  const std::size_t nodes = static_cast<std::size_t>(w) * h;
+  const std::size_t nodes = static_cast<std::size_t>(graph.w) * graph.h;
+  auto outside = [&](NetId n, const char* what, TileCoord t) {
+    return fail("net #" + std::to_string(n) + " '" + netlist.net(n).name + "': " + what + " (" +
+                std::to_string(t.x) + "," + std::to_string(t.y) +
+                ") lies outside the routing area " + graph.area.to_string());
+  };
 
   // Collect the nets to route. `sink_seen` deduplicates sink tiles in O(1)
-  // per sink (stamped with the per-net sequence number), replacing the old
-  // O(fanout^2) std::find scan over sink_nodes.
+  // per sink (stamped with the per-net sequence number).
   std::vector<Job> jobs;
-  std::vector<int> sink_seen(nodes, -1);
+  ZeroedArray<int> sink_seen(nodes);
   int job_seq = 0;
   for (NetId n = 0; n < netlist.net_count(); ++n) {
     const Net& net = netlist.net(n);
     const RouteInfo& existing = phys.routes[n];
     const bool partial = existing.routed && existing.sink_delays_ns.size() < net.sinks.size();
     if (existing.routed && !partial) {
-      graph.charge_locked(existing, +1);  // fully locked: usage only
+      graph.charge_locked(existing);  // fully locked: usage only
       continue;
     }
     // A routing_locked net with no recorded route has nothing to preserve:
@@ -554,28 +558,41 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
     // is only routable once stitching gives it inter-component sinks.
     if (net.sinks.empty()) continue;
 
+    const auto fixed = opt.fixed_terminals.find(n);
     TileCoord driver_loc = kUnplaced;
     if (net.driver != kInvalidCell) {
       driver_loc = phys.cell_loc[net.driver];
-    } else if (auto it = opt.fixed_terminals.find(n); it != opt.fixed_terminals.end()) {
-      driver_loc = it->second;
+    } else if (fixed != opt.fixed_terminals.end()) {
+      driver_loc = fixed->second;
     }
     if (driver_loc == kUnplaced) continue;  // unplaced endpoints: STA estimates
+    if (!graph.contains(driver_loc)) return outside(n, "driver", driver_loc);
 
     ++job_seq;
     Job job;
     job.net = n;
-    job.driver_node = graph.node(driver_loc.x, driver_loc.y);
-    job.base_box = Pblock{driver_loc.x, driver_loc.y, driver_loc.x, driver_loc.y};
+    job.driver_node = graph.node(driver_loc);
+    job.base_box = Pblock{driver_loc.x - graph.area.x0, driver_loc.y - graph.area.y0,
+                          driver_loc.x - graph.area.x0, driver_loc.y - graph.area.y0};
     sink_seen[static_cast<std::size_t>(job.driver_node)] = job_seq;
     if (partial) {
       job.seed_edges = existing.edges;
       job.old_delays = existing.sink_delays_ns;
       for (const auto& [a, b] : job.seed_edges) {
-        grow_box(job, a.x, a.y);
-        grow_box(job, b.x, b.y);
+        if (!graph.contains(a)) return outside(n, "locked route tile", a);
+        if (!graph.contains(b)) return outside(n, "locked route tile", b);
+        grow_box(job, graph.node(a), graph);
+        grow_box(job, graph.node(b), graph);
       }
     }
+    // Sinks, then the extra fixed terminal (partition pin) of a driven net,
+    // which routes like one more sink.
+    auto add_target = [&](int node) {
+      if (sink_seen[static_cast<std::size_t>(node)] == job_seq) return;
+      sink_seen[static_cast<std::size_t>(node)] = job_seq;
+      job.sink_nodes.push_back(node);
+      grow_box(job, node, graph);
+    };
     job.sink_node_of_sink.reserve(net.sinks.size());
     for (std::size_t sk = 0; sk < net.sinks.size(); ++sk) {
       const TileCoord loc = phys.cell_loc[net.sinks[sk].first];
@@ -583,25 +600,14 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
         job.sink_node_of_sink.push_back(-1);
         continue;
       }
-      const int node = graph.node(loc.x, loc.y);
+      if (!graph.contains(loc)) return outside(n, "sink", loc);
+      const int node = graph.node(loc);
       job.sink_node_of_sink.push_back(node);
-      if (sk < job.old_delays.size()) continue;  // already served by the seed
-      if (sink_seen[static_cast<std::size_t>(node)] != job_seq) {
-        sink_seen[static_cast<std::size_t>(node)] = job_seq;
-        job.sink_nodes.push_back(node);
-        grow_box(job, loc.x, loc.y);
-      }
+      if (sk >= job.old_delays.size()) add_target(node);  // else served by the seed
     }
-    // Extra fixed terminal (partition pin) routes like one more sink.
-    if (net.driver != kInvalidCell) {
-      if (auto it = opt.fixed_terminals.find(n); it != opt.fixed_terminals.end()) {
-        const int node = graph.node(it->second.x, it->second.y);
-        if (sink_seen[static_cast<std::size_t>(node)] != job_seq) {
-          sink_seen[static_cast<std::size_t>(node)] = job_seq;
-          job.sink_nodes.push_back(node);
-          grow_box(job, it->second.x, it->second.y);
-        }
-      }
+    if (net.driver != kInvalidCell && fixed != opt.fixed_terminals.end()) {
+      if (!graph.contains(fixed->second)) return outside(n, "fixed terminal", fixed->second);
+      add_target(graph.node(fixed->second));
     }
     job.margin = std::max(0, opt.bbox_margin);
     clamp_box(job, graph);
@@ -611,8 +617,7 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
   // Per-job routing state kept across iterations for incremental rip-up.
   std::vector<RouteInfo> job_routes(jobs.size());
   std::vector<char> dirty(jobs.size(), 1);  // iteration 1 routes everything
-  ScratchPool scratches(nodes);
-  ThreadPool* pool = opt.pool;
+  Scratch scratch(jobs.empty() ? 0 : nodes);
 
   // PathFinder negotiation.
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
@@ -624,48 +629,18 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       if (dirty[j] != 0) worklist.push_back(j);
     }
-    // Rip up every dirty net before any reroutes, so a batch negotiates
-    // against exactly the usage the serial router would see.
+    // Rip up every dirty net before any reroutes: each reroute negotiates
+    // against the usage of the clean nets and of the nets rerouted before
+    // it this iteration.
     for (std::size_t j : worklist) {
       if (job_routes[j].routed) graph.charge_job(static_cast<std::int32_t>(j), job_routes[j], -1);
       job_routes[j].routed = false;
     }
-
-    const std::vector<std::vector<std::size_t>> batches = make_batches(jobs, worklist, w, h);
-    std::string error;
-    for (const std::vector<std::size_t>& batch : batches) {
-      // Disjoint boxes: the nets of a batch touch disjoint edge sets, so
-      // routing them concurrently and committing usage afterwards in
-      // net-index order is byte-identical to routing them one by one —
-      // at any pool width, including 1.
-      std::vector<char> ok(batch.size(), 0);
-      parallel_for(
-          0, batch.size(),
-          [&](std::size_t k) {
-            std::unique_ptr<Scratch> scratch = scratches.acquire();
-            ok[k] = route_job(graph, netlist, dm, jobs[batch[k]], job_routes[batch[k]],
-                              pressure, *scratch)
-                        ? 1
-                        : 0;
-            scratches.release(std::move(scratch));
-          },
-          pool);
-      for (std::size_t k = 0; k < batch.size(); ++k) {
-        const std::size_t j = batch[k];
-        if (ok[k] == 0) {
-          if (error.empty()) error = "unroutable net #" + std::to_string(jobs[j].net);
-          job_routes[j].routed = false;
-          continue;
-        }
-        graph.charge_job(static_cast<std::int32_t>(j), job_routes[j], +1);
+    for (std::size_t j : route_order(jobs, worklist, graph.w, graph.h)) {
+      if (!route_job(graph, netlist, dm, jobs[j], job_routes[j], pressure, scratch)) {
+        return fail("unroutable net #" + std::to_string(jobs[j].net));
       }
-      if (!error.empty()) break;
-    }
-    if (!error.empty()) {
-      result.error = std::move(error);
-      result.wall_seconds = route_wall.seconds();
-      result.cpu_seconds = route_cpu.seconds();
-      return result;
+      graph.charge_job(static_cast<std::int32_t>(j), job_routes[j], +1);
     }
 
     // Overuse accounting, history update and incremental dirty marking:
@@ -674,17 +649,19 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
     int max_over = 0;
     long over_edges = 0;
     bool job_congestion = false;
-    auto scan = [&](std::vector<std::int16_t>& use, std::vector<float>& hist,
-                    std::vector<std::vector<std::int32_t>>& users) {
+    auto scan = [&](const ZeroedArray<std::int16_t>& use, ZeroedArray<float>& hist,
+                    const ZeroedArray<std::int32_t>& users) {
       for (std::size_t e = 0; e < use.size(); ++e) {
         const int over = use[e] - opt.channel_capacity;
         if (over > 0) {
           ++over_edges;
           max_over = std::max(max_over, over);
           hist[e] += static_cast<float>(opt.history_factor * over);
-          for (std::int32_t j : users[e]) {
-            dirty[static_cast<std::size_t>(j)] = 1;
+          for (std::int32_t l = users[e]; l != 0;) {
+            const Graph::UserLink& link = graph.links[static_cast<std::size_t>(l)];
+            dirty[static_cast<std::size_t>(link.job)] = 1;
             job_congestion = true;
+            l = link.next;
           }
         }
       }
@@ -705,7 +682,6 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
     stats.nets_rerouted = static_cast<int>(worklist.size());
     stats.overused_edges = over_edges;
     stats.max_overuse = max_over;
-    stats.batches = static_cast<int>(batches.size());
     stats.wall_seconds = iter_wall.seconds();
     stats.cpu_seconds = iter_cpu.seconds();
     result.iteration_stats.push_back(stats);
@@ -722,39 +698,30 @@ RouteResult route_design(const Device& device, const Netlist& netlist, PhysState
   // up and other nets were still mid-iteration, so the recorded values
   // reflect a stale congestion snapshot. Re-walk every final route tree
   // from the driver against the final use_h/use_v before committing.
-  parallel_for(
-      0, jobs.size(),
-      [&](std::size_t j) {
-        RouteInfo& route = job_routes[j];
-        const Job& job = jobs[j];
-        std::unique_ptr<Scratch> scratch = scratches.acquire();
-        Scratch& s = *scratch;
-        const int settled_epoch = ++s.epoch;
-        s.tree_stamp[static_cast<std::size_t>(job.driver_node)] = settled_epoch;
-        s.tree_delay[static_cast<std::size_t>(job.driver_node)] = 0.0;
-        if (!route.edges.empty()) {
-          s.walk_tree(graph, route.edges, job.driver_node, settled_epoch, nullptr);
-        }
-        const Net& net = netlist.net(job.net);
-        const double fanout_term =
-            dm.wire_per_fanout *
-            (net.sinks.size() > 1 ? static_cast<double>(net.sinks.size() - 1) : 0.0);
-        for (std::size_t sk = 0; sk < net.sinks.size(); ++sk) {
-          if (sk < job.old_delays.size()) continue;  // locked internal sink: keep
-          const int node = job.sink_node_of_sink[sk];
-          if (node < 0) continue;  // unplaced sink: keep the fallback estimate
-          const std::size_t nn = static_cast<std::size_t>(node);
-          if (s.tree_stamp[nn] != settled_epoch) continue;
-          route.sink_delays_ns[sk] = dm.wire_base + s.tree_delay[nn] + fanout_term;
-        }
-        scratches.release(std::move(scratch));
-      },
-      pool);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    result.edges_used += job_routes[j].edges.size();
-    result.total_wirelength += static_cast<double>(job_routes[j].edges.size());
+    RouteInfo& route = job_routes[j];
+    const Job& job = jobs[j];
+    const int settled_epoch = ++scratch.epoch;
+    scratch.tree_stamp[static_cast<std::size_t>(job.driver_node)] = settled_epoch;
+    scratch.tree_delay[static_cast<std::size_t>(job.driver_node)] = 0.0;
+    if (!route.edges.empty()) {
+      scratch.walk_tree(graph, route.edges, job.driver_node, settled_epoch, nullptr);
+    }
+    const Net& net = netlist.net(job.net);
+    const double fanout_term =
+        dm.wire_per_fanout *
+        (net.sinks.size() > 1 ? static_cast<double>(net.sinks.size() - 1) : 0.0);
+    for (std::size_t sk = job.old_delays.size(); sk < net.sinks.size(); ++sk) {
+      const int node = job.sink_node_of_sink[sk];
+      if (node < 0) continue;  // unplaced sink: keep the fallback estimate
+      const std::size_t nn = static_cast<std::size_t>(node);
+      if (scratch.tree_stamp[nn] != settled_epoch) continue;
+      route.sink_delays_ns[sk] = dm.wire_base + scratch.tree_delay[nn] + fanout_term;
+    }
+    result.edges_used += route.edges.size();
+    result.total_wirelength += static_cast<double>(route.edges.size());
     ++result.nets_routed;
-    phys.routes[jobs[j].net] = std::move(job_routes[j]);
+    phys.routes[job.net] = std::move(route);
   }
   result.success = true;
   result.wall_seconds = route_wall.seconds();

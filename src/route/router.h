@@ -1,5 +1,5 @@
-// Parallel incremental negotiated-congestion (PathFinder-style) router
-// over a coarse per-tile channel graph.
+// Incremental negotiated-congestion (PathFinder-style) router over a
+// coarse per-tile channel graph.
 //
 // Nodes are interconnect tiles; edges connect 4-neighbours with a fixed
 // wire capacity per direction. Crossing an IO column costs extra delay
@@ -10,11 +10,12 @@
 //
 // Negotiation is *incremental*: after the first iteration only nets whose
 // route trees touch an overused edge (tracked through a per-edge -> net
-// reverse index) are ripped up and rerouted. Within an iteration, dirty
-// nets are batched by disjoint expanded bounding boxes and the nets of a
-// batch are routed concurrently on a ThreadPool; edge usage is committed
-// serially in net-index order after each batch, so the result is
-// byte-identical at every pool width (see DESIGN.md section 9).
+// reverse index) are ripped up and rerouted, one after another in a fixed
+// disjoint-box order (see DESIGN.md section 9). A bounded route (the OOC
+// flow) allocates its graph and search state for `region` only, so its cost
+// follows the pblock, not the device; results depend on the terminals'
+// positions relative to the region alone, which makes a component's routes
+// translation-invariant across column-compatible pblocks.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +28,6 @@
 #include "netlist/netlist.h"
 #include "netlist/phys.h"
 #include "timing/delay_model.h"
-#include "util/thread_pool.h"
 
 namespace fpgasim {
 
@@ -41,22 +41,21 @@ struct RouteOptions {
   /// Extra terminal per net (partition pins of OOC ports): net -> tile.
   std::unordered_map<NetId, TileCoord> fixed_terminals;
   /// When set, the search never leaves this rectangle (OOC flow: keep all
-  /// component routing inside its pblock so relocation stays legal).
+  /// component routing inside its pblock so relocation stays legal). A
+  /// driver, sink, fixed terminal or locked partial-route tile outside it
+  /// fails the call with an error naming the net; fully locked routes are
+  /// charged only where they lie inside it.
   bool bounded = false;
   Pblock region;
   /// Incremental rip-up: after iteration 1 only nets touching an overused
-  /// edge are rerouted. `false` restores the legacy full rip-up (every net,
-  /// every iteration) for A/B benchmarking.
+  /// edge are rerouted. `false` is the full rip-up oracle (every net, every
+  /// iteration) that the incremental router is checked against.
   bool incremental = true;
   /// Initial expansion of the per-net A* bounding box beyond its terminals
   /// (tiles), and the extra margin granted each time congestion rips the
   /// net up again (the box grows until a detour fits).
   int bbox_margin = 3;
   int bbox_growth = 8;
-  /// Pool for routing the nets of a batch concurrently; null uses the
-  /// process-global pool (FPGASIM_THREADS). Any width, including 1,
-  /// produces byte-identical results.
-  ThreadPool* pool = nullptr;
 };
 
 /// Per-negotiation-round telemetry: the incremental router's work should
@@ -65,7 +64,6 @@ struct RouteIterationStats {
   int nets_rerouted = 0;   // nets ripped up and rerouted this round
   long overused_edges = 0; // edges above capacity after the round
   int max_overuse = 0;
-  int batches = 0;         // disjoint-bbox parallel batches this round
   double wall_seconds = 0.0;
   double cpu_seconds = 0.0;
 };

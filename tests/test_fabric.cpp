@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fabric/device.h"
 #include "fabric/pblock.h"
+#include "util/hash.h"
+#include "util/rng.h"
 
 namespace fpgasim {
 namespace {
@@ -169,6 +173,57 @@ TEST(Pblock, RelocationOffsetsStayLegal) {
     // Relocated pblock has identical capacity (column compatibility).
     EXPECT_EQ(pblock_resources(device, moved), pblock_resources(device, *block));
   }
+}
+
+TEST(Device, ColumnCapacityMatchesBruteForce) {
+  for (const Device& device : {make_tiny_device(), make_xcku5p_sim()}) {
+    Rng rng(17);
+    for (int trial = 0; trial < 400; ++trial) {
+      const int x = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(device.width())));
+      const int y0 = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(device.height())));
+      const int h = static_cast<int>(
+          rng.next_below(static_cast<std::uint64_t>(device.height() - y0 + 1)));
+      ResourceVec expected;
+      for (int y = y0; y < y0 + h; ++y) expected += device.tile_capacity(x, y);
+      ASSERT_EQ(device.column_capacity(x, y0, h), expected)
+          << device.name() << " x=" << x << " y0=" << y0 << " h=" << h;
+    }
+  }
+}
+
+// find_min_pblock over a sweep of needs, aspect preferences and width caps,
+// pinned to the results of the per-call prefix-sum implementation it
+// replaced (any drift changes every OOC pblock, hence every store hash).
+TEST(Pblock, FindMinPblockSweepMatchesPinned) {
+  const Device device = make_xcku5p_sim();
+  const ResourceVec needs[] = {
+      {.lut = 16, .ff = 16},
+      {.lut = 300, .ff = 500, .carry = 30},
+      {.lut = 500, .ff = 900, .carry = 60, .dsp = 8, .bram = 12},
+      {.lut = 2400, .ff = 3000, .carry = 200, .dsp = 48, .bram = 6},
+      {.lut = 9000, .ff = 12000, .carry = 700, .dsp = 120, .bram = 64},
+      {.dsp = 30},
+      {.lut = 100, .bram = 40},
+  };
+  std::string results;
+  for (const ResourceVec& need : needs) {
+    for (double aspect : {1.0, 2.2, 0.45, 3.5, 0.28}) {
+      for (int max_width : {0, 12, 31}) {
+        const auto block = find_min_pblock(device, need, aspect, max_width);
+        results += block ? block->to_string() : std::string("none");
+        results += '\n';
+      }
+    }
+  }
+  EXPECT_EQ(hash128(results).hex(), "0b56120e0074516ad341729c0817efbd") << results;
+}
+
+TEST(Pblock, ResourcesClipToTheDevice) {
+  const Device device = make_tiny_device();
+  const Pblock inside{0, 0, device.width() - 1, device.height() - 1};
+  EXPECT_EQ(pblock_resources(device, Pblock{-3, -5, device.width() + 2, device.height() + 7}),
+            pblock_resources(device, inside));
+  EXPECT_EQ(pblock_resources(device, inside), device.total());
 }
 
 }  // namespace

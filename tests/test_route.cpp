@@ -360,5 +360,98 @@ TEST(Router, SkipsNetsWithUnplacedEndpoints) {
   EXPECT_FALSE(design.phys.routes[0].routed);
 }
 
+// A bounded route indexes its state by region-local tiles, so a terminal
+// outside the region must fail the call, naming the net, instead of being
+// searched from (the search used to escape the region through it).
+TEST(Router, BoundedRejectsTerminalsOutsideTheRegion) {
+  const Device device = make_tiny_device();
+  RouteOptions opt;
+  opt.bounded = true;
+  opt.region = Pblock{2, 2, 10, 10};
+  auto expect_rejected = [&](PointToPoint& design, const RouteOptions& options, NetId net) {
+    const RouteResult result = route_design(device, design.netlist, design.phys, options);
+    EXPECT_FALSE(result.success);
+    EXPECT_NE(result.error.find("net #" + std::to_string(net)), std::string::npos)
+        << result.error;
+    EXPECT_FALSE(design.phys.routes[net].routed);
+  };
+  {
+    PointToPoint design;  // driver west of the region
+    design.add_pair(TileCoord{3, 3}, TileCoord{9, 9});
+    design.add_pair(TileCoord{0, 5}, TileCoord{6, 5});
+    expect_rejected(design, opt, 1);
+  }
+  {
+    PointToPoint design;  // sink above the region
+    design.add_pair(TileCoord{4, 4}, TileCoord{4, 14});
+    expect_rejected(design, opt, 0);
+  }
+  {
+    PointToPoint design;  // partition pin east of the region
+    design.add_pair(TileCoord{4, 4}, TileCoord{8, 4});
+    RouteOptions pinned = opt;
+    pinned.fixed_terminals[0] = TileCoord{12, 4};
+    expect_rejected(design, pinned, 0);
+  }
+  {
+    PointToPoint design;  // input-port net whose partition pin is outside
+    design.add_pair(TileCoord{4, 4}, TileCoord{8, 4});
+    design.netlist.net(0).driver = kInvalidCell;
+    RouteOptions pinned = opt;
+    pinned.fixed_terminals[0] = TileCoord{1, 4};
+    expect_rejected(design, pinned, 0);
+  }
+}
+
+TEST(Router, BoundedRejectsPartialRouteLeavingTheRegion) {
+  const Device device = make_tiny_device();
+  PointToPoint design;
+  design.add_pair(TileCoord{4, 4}, TileCoord{8, 4});
+  Cell extra;
+  extra.type = CellType::kFf;
+  const CellId sink2 = design.netlist.add_cell(std::move(extra));
+  design.netlist.connect_input(sink2, 0, 0);
+  design.phys.resize_for(design.netlist);
+  design.phys.cell_loc[sink2] = TileCoord{6, 8};
+  // The locked part of the net detours through row 1, below the region.
+  RouteInfo& route = design.phys.routes[0];
+  route.routed = true;
+  route.edges = {{TileCoord{4, 4}, TileCoord{4, 3}}, {TileCoord{4, 3}, TileCoord{4, 2}},
+                 {TileCoord{4, 2}, TileCoord{4, 1}}, {TileCoord{4, 1}, TileCoord{5, 1}}};
+  route.sink_delays_ns = {0.4};
+  RouteOptions opt;
+  opt.bounded = true;
+  opt.region = Pblock{2, 2, 10, 10};
+  const RouteResult result = route_design(device, design.netlist, design.phys, opt);
+  EXPECT_FALSE(result.success);
+  EXPECT_NE(result.error.find("net #0"), std::string::npos) << result.error;
+}
+
+TEST(Router, BoundedChargesOnlyTheInsideOfLockedRoutes) {
+  const Device device = make_tiny_device();
+  PointToPoint design;
+  design.add_pair(TileCoord{0, 5}, TileCoord{11, 5});  // locked, spans the region
+  design.add_pair(TileCoord{2, 5}, TileCoord{8, 5});   // open, inside a 1-row region
+  RouteInfo& locked = design.phys.routes[0];
+  locked.routed = true;
+  for (int x = 0; x < 11; ++x) locked.edges.emplace_back(TileCoord{x, 5}, TileCoord{x + 1, 5});
+  locked.sink_delays_ns = {0.5};
+  design.netlist.net(0).routing_locked = true;
+  RouteOptions opt;
+  opt.bounded = true;
+  opt.region = Pblock{2, 5, 8, 5};
+  opt.channel_capacity = 1;
+  opt.max_iterations = 3;
+  const RouteResult result = route_design(device, design.netlist, design.phys, opt);
+  ASSERT_TRUE(result.success) << result.error;
+  EXPECT_EQ(result.nets_routed, 1u);
+  EXPECT_EQ(design.phys.routes[1].edges.size(), 6u);
+  // The open net shares exactly the six locked edges inside the region;
+  // the four locked edges outside it are not part of the routed graph.
+  ASSERT_FALSE(result.iteration_stats.empty());
+  EXPECT_EQ(result.iteration_stats.back().overused_edges, 6);
+  EXPECT_EQ(result.max_overuse, 1);
+}
+
 }  // namespace
 }  // namespace fpgasim
