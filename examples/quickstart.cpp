@@ -8,7 +8,7 @@
 #include "flow/preimpl.h"
 #include "flow/service.h"
 #include "sim/simulator.h"
-#include "util/rng.h"
+#include "sim/stream.h"
 #include "util/table.h"
 
 using namespace fpgasim;
@@ -62,36 +62,16 @@ conv c2 out=2 k=3
 
   // 5. Run one image through the composed, placed-and-routed netlist and
   // compare with the golden reference.
-  Tensor image = Tensor::zeros(2, 12, 12);
-  Rng rng(7);
-  for (auto& v : image.data) {
-    v = Fixed16::from_raw(static_cast<std::int32_t>(rng.next_int(-50, 50)));
-  }
+  const Tensor image = random_tensor(2, 12, 12, 7, 50);
   const auto expected = reference_inference(model, image);
-
   Simulator sim(accelerator.netlist);
-  sim.set_input("out_ready", 1);
-  sim.set_input("in_valid", 1);
-  for (const Fixed16& v : image.data) {
-    sim.set_input("in_data", static_cast<std::uint16_t>(v.raw));
-    sim.step();
-  }
-  sim.set_input("in_valid", 0);
-  std::vector<Fixed16> out;
-  long guard = 0;
-  while (out.size() < expected.size() && guard++ < 2000000) {
-    sim.step();
-    if (sim.get_output("out_valid") == 1) {
-      out.push_back(Fixed16{static_cast<std::int16_t>(
-          static_cast<std::uint16_t>(sim.get_output("out_data")))});
-    }
-  }
+  const StreamRun run = drive_stream(sim, {image.data}, expected.size(), 2000000);
+  const std::vector<Fixed16>& out = run.outputs[0];
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < out.size(); ++i) mismatches += (out[i] != expected[i]);
   std::printf("inference on hardware: %zu/%zu outputs after %llu cycles, %zu mismatches%s\n",
-              out.size(), expected.size(), static_cast<unsigned long long>(sim.cycle()),
-              mismatches,
-              mismatches == 0 && out.size() == expected.size() ? " -- MATCHES GOLDEN MODEL"
-                                                               : " -- MISMATCH");
-  return mismatches == 0 ? 0 : 1;
+              out.size(), expected.size(), static_cast<unsigned long long>(run.cycles),
+              mismatches, mismatches == 0 && run.complete ? " -- MATCHES GOLDEN MODEL"
+                                                          : " -- MISMATCH");
+  return mismatches == 0 && run.complete ? 0 : 1;
 }

@@ -4,13 +4,10 @@
 #include <stdexcept>
 
 #include "cnn/registry.h"
-#include "util/rng.h"
 
 namespace fpgasim {
 
 const char* to_string(LayerKind kind) { return layer_traits(kind).keyword; }
-
-bool is_join(LayerKind kind) { return layer_traits(kind).join; }
 
 long Layer::weights() const {
   const auto count = layer_traits(kind).weight_count;
@@ -289,12 +286,7 @@ std::string to_arch_def(const CnnModel& model) {
 }
 
 std::vector<Fixed16> synth_params(std::size_t count, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Fixed16> params(count);
-  for (Fixed16& p : params) {
-    p = Fixed16::from_raw(static_cast<std::int32_t>(rng.next_int(-48, 48)));
-  }
-  return params;
+  return random_fixed(count, seed, 48);
 }
 
 std::vector<Fixed16> reference_inference(const CnnModel& model, const Tensor& input,

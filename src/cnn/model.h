@@ -28,9 +28,6 @@ inline constexpr int kLayerKindCount = 11;
 
 const char* to_string(LayerKind kind);
 
-/// True for the multi-input element-wise join kinds (add/concat).
-bool is_join(LayerKind kind);
-
 struct Shape {
   int c = 0, h = 0, w = 0;
   long volume() const { return static_cast<long>(c) * h * w; }

@@ -128,17 +128,4 @@ void enforce_drc(const DrcReport& report, const std::string& where) {
   throw std::runtime_error("DRC failed (" + where + "): " + report.to_string());
 }
 
-namespace drc_detail {
-
-int instance_of_cell(const std::vector<DrcInstance>& instances, CellId cell) {
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    if (cell >= instances[i].cell_begin && cell < instances[i].cell_end) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-}  // namespace drc_detail
-
 }  // namespace fpgasim

@@ -152,9 +152,6 @@ namespace drc_detail {
 // required_input_pins) moved to netlist/netlist.h so lint and DRC share
 // one definition; unqualified uses below resolve through fpgasim::.
 
-/// Instance index owning `cell`, or -1 (binary search over the ranges).
-int instance_of_cell(const std::vector<DrcInstance>& instances, CellId cell);
-
 void register_structural_rules(std::vector<const DrcRule*>& rules);
 void register_placement_rules(std::vector<const DrcRule*>& rules);
 void register_routing_rules(std::vector<const DrcRule*>& rules);

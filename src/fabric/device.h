@@ -59,9 +59,6 @@ class Device {
   /// Total device capacity (cached at construction).
   const ResourceVec& total() const { return total_; }
 
-  /// True when column x is an IO column (fabric discontinuity).
-  bool is_discontinuity(int x) const { return column_type(x) == ColumnType::kIo; }
-
   /// Number of IO columns strictly between x0 and x1 (any order).
   int discontinuities_between(int x0, int x1) const;
 

@@ -1,11 +1,9 @@
 #include "flow/monolithic.h"
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
 
 #include "place/place.h"
-#include "sim/compiled.h"
 #include "util/log.h"
 #include "util/timer.h"
 
@@ -195,23 +193,6 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
     LOG_DEBUG("monolithic lint: %s (%.3fs wall, %.3fs cpu)", report.lint.summary().c_str(),
               report.lint.wall_seconds, report.lint.cpu_seconds);
     lint::enforce(report.lint, "monolithic after routing");
-  }
-
-  if (opt.compiled_verify) {
-    // Compiled-verify gate: A/B the final (post-phys-opt) netlist through
-    // the compiled bit-parallel simulator against the interpreter oracle.
-    stage.restart();
-    static constexpr int kVerifyLanes[] = {0, 21, 42, 63};
-    const std::string diff = compare_compiled_vs_interpreter(
-        netlist, opt.compiled_verify_cycles, opt.seed, kVerifyLanes);
-    report.compiled_verify_seconds = stage.seconds();
-    report.compiled_verify_ok = diff.empty();
-    if (!diff.empty()) {
-      throw std::runtime_error("monolithic compiled-verify: " + diff);
-    }
-    LOG_DEBUG("monolithic compiled-verify: ok, %d cycles x %zu lanes (%.3fs)",
-              opt.compiled_verify_cycles, std::size(kVerifyLanes),
-              report.compiled_verify_seconds);
   }
 
   report.stats = netlist.stats();

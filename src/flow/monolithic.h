@@ -29,11 +29,6 @@ struct MonoOptions {
   /// Opt-in fpgalint gate over the final (post-phys-opt) netlist.
   bool lint = false;
   lint::LintOptions lint_options;
-  /// Opt-in compiled-verify gate: A/B the final netlist through the
-  /// compiled bit-parallel simulator against the interpreter oracle.
-  /// Throws on any bit divergence.
-  bool compiled_verify = false;
-  int compiled_verify_cycles = 24;
 };
 
 struct MonoReport {
@@ -59,10 +54,6 @@ struct MonoReport {
   // fpgalint gate result (empty when MonoOptions::lint is false).
   double lint_seconds = 0.0;
   lint::LintReport lint;
-
-  // Compiled-verify gate (false/0 when MonoOptions::compiled_verify off).
-  double compiled_verify_seconds = 0.0;
-  bool compiled_verify_ok = false;
 };
 
 /// Runs the baseline flow in place: `netlist` gains phys-opt cells and

@@ -1,10 +1,8 @@
 #include "flow/preimpl.h"
 
-#include <iterator>
 #include <stdexcept>
 
 #include "flow/build.h"
-#include "sim/compiled.h"
 #include "util/log.h"
 #include "util/timer.h"
 
@@ -105,24 +103,6 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
     LOG_DEBUG("preimpl lint: %s (%.3fs wall, %.3fs cpu)", report.lint.summary().c_str(),
               report.lint.wall_seconds, report.lint.cpu_seconds);
     lint::enforce(report.lint, "preimpl after routing");
-  }
-
-  if (opt.compiled_verify) {
-    // Compiled-verify gate: A/B the final composed netlist through the
-    // levelized bit-parallel simulator against the interpreter oracle on
-    // a sample of the 64-wide batch. Any bit divergence aborts the flow.
-    stage.restart();
-    static constexpr int kVerifyLanes[] = {0, 21, 42, 63};
-    const std::string diff = compare_compiled_vs_interpreter(
-        out.netlist, opt.compiled_verify_cycles, opt.seed, kVerifyLanes);
-    report.compiled_verify_seconds = stage.seconds();
-    report.compiled_verify_ok = diff.empty();
-    if (!diff.empty()) {
-      throw std::runtime_error("preimpl compiled-verify: " + diff);
-    }
-    LOG_DEBUG("preimpl compiled-verify: ok, %d cycles x %zu lanes (%.3fs)",
-              opt.compiled_verify_cycles, std::size(kVerifyLanes),
-              report.compiled_verify_seconds);
   }
 
   stage.restart();

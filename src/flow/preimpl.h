@@ -31,12 +31,6 @@ struct PreImplOptions {
   /// composed netlist. Throws on error findings.
   bool lint = false;
   lint::LintOptions lint_options;  // waivers; instances filled by the flow
-  /// Opt-in compiled-verify gate: A/B the final composed netlist through
-  /// the compiled bit-parallel simulator against the interpreter oracle
-  /// (sampled lanes of a 64-wide batch, seeded random stimulus). Throws
-  /// on any bit divergence.
-  bool compiled_verify = false;
-  int compiled_verify_cycles = 24;
 };
 
 struct PreImplReport {
@@ -67,11 +61,6 @@ struct PreImplReport {
   // total_seconds like the DRC gate.
   double lint_seconds = 0.0;
   lint::LintReport lint;
-
-  // Compiled-verify gate (false/0 when PreImplOptions::compiled_verify is
-  // off; the gate throws on divergence, so a finished flow implies ok).
-  double compiled_verify_seconds = 0.0;
-  bool compiled_verify_ok = false;
 
   double slowest_component_mhz = 0.0;
   std::string slowest_component;

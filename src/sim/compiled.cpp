@@ -938,82 +938,94 @@ void SimContext::step_impl() {
   ++cycle_;
 }
 
+void LaneTrace::before_edge(const SimContext& ctx, std::span<const std::uint64_t> in_frame) {
+  for (std::size_t i = 0; i < ctx.plan().input_count(); ++i) {
+    inputs.push_back(in_frame[i * SimPlan::kLanes + lane]);
+  }
+  const int outputs = static_cast<int>(ctx.plan().output_count());
+  for (int o = 0; o < outputs; ++o) pre.push_back(ctx.get_output(o, lane));
+}
+
+void LaneTrace::after_edge(const SimContext& ctx) {
+  const int outputs = static_cast<int>(ctx.plan().output_count());
+  for (int o = 0; o < outputs; ++o) post.push_back(ctx.get_output(o, lane));
+  ++cycles;
+}
+
+void LaneTrace::end(const SimContext& ctx) {
+  nets.resize(ctx.plan().net_count());
+  for (std::size_t n = 0; n < nets.size(); ++n) nets[n] = ctx.peek_net(static_cast<NetId>(n), lane);
+}
+
+std::string replay_lane(Simulator& oracle, const SimPlan& plan, const LaneTrace& trace) {
+  const std::size_t in_count = plan.input_count();
+  const std::size_t out_count = plan.output_count();
+  const auto mismatch = [](const std::string& where, std::uint64_t want, std::uint64_t have) {
+    return where + ": interpreter " + std::to_string(want) + ", compiled " + std::to_string(have);
+  };
+  const auto compare_outputs = [&](std::size_t cycle, const std::vector<std::uint64_t>& got,
+                                   const char* when) -> std::string {
+    for (std::size_t o = 0; o < out_count; ++o) {
+      const std::uint64_t want = oracle.get_output(plan.output_name(o));
+      const std::uint64_t have = got[cycle * out_count + o];
+      if (want != have) {
+        return mismatch("cycle " + std::to_string(cycle) + " " + when + ", port '" +
+                            plan.output_name(o) + "'",
+                        want, have);
+      }
+    }
+    return {};
+  };
+  for (std::size_t cycle = 0; cycle < trace.cycles; ++cycle) {
+    for (std::size_t i = 0; i < in_count; ++i) {
+      oracle.set_input(plan.input_name(i), trace.inputs[cycle * in_count + i]);
+    }
+    std::string diff = compare_outputs(cycle, trace.pre, "pre-edge");
+    if (diff.empty()) {
+      oracle.step();
+      diff = compare_outputs(cycle, trace.post, "post-edge");
+    }
+    if (!diff.empty()) return diff;
+  }
+  for (std::size_t n = 0; n < trace.nets.size(); ++n) {
+    const std::uint64_t want = oracle.peek_net(static_cast<NetId>(n));
+    if (want != trace.nets[n]) {
+      return mismatch("net " + std::to_string(n) + " at the end", want, trace.nets[n]);
+    }
+  }
+  return {};
+}
+
 std::string compare_compiled_vs_interpreter(const Netlist& netlist, int cycles,
                                             std::uint64_t seed,
                                             std::span<const int> lanes_to_check,
                                             std::shared_ptr<const SimPlan> plan) {
-  constexpr std::size_t lanes = SimPlan::kLanes;
-  std::vector<const Port*> ins;
-  std::vector<const Port*> outs;
-  for (const Port& port : netlist.ports()) {
-    (port.dir == PortDir::kInput ? ins : outs).push_back(&port);
-  }
-
-  // Seeded stimulus: every input port of every lane re-randomized each
-  // cycle (values masked by set_input on both sides).
-  Rng rng(seed);
-  std::vector<std::uint64_t> stim(static_cast<std::size_t>(cycles) * ins.size() * lanes);
-  for (std::uint64_t& v : stim) v = rng();
-  const auto stim_at = [&](int cycle, std::size_t in, std::size_t lane) {
-    return stim[(static_cast<std::size_t>(cycle) * ins.size() + in) * lanes + lane];
-  };
-
-  // Compiled pass: record every output, pre-edge (after inputs settle) and
-  // post-edge (after step, before the next cycle's inputs).
   if (!plan) plan = SimPlan::compile(netlist);
-  SimContext cs(plan);
-  std::vector<int> in_idx(ins.size());
-  std::vector<int> out_idx(outs.size());
-  for (std::size_t i = 0; i < ins.size(); ++i) in_idx[i] = plan->input_index(ins[i]->name);
-  for (std::size_t i = 0; i < outs.size(); ++i) out_idx[i] = plan->output_index(outs[i]->name);
-  std::vector<std::uint64_t> got(static_cast<std::size_t>(cycles) * outs.size() * lanes * 2);
-  const auto got_at = [&](int cycle, std::size_t out, std::size_t lane,
-                          int phase) -> std::uint64_t& {
-    return got[((static_cast<std::size_t>(cycle) * outs.size() + out) * lanes + lane) * 2 +
-               static_cast<std::size_t>(phase)];
-  };
-  for (int cycle = 0; cycle < cycles; ++cycle) {
-    for (std::size_t i = 0; i < ins.size(); ++i) {
-      cs.set_inputs(in_idx[i],
-                    std::span<const std::uint64_t>(
-                        &stim[(static_cast<std::size_t>(cycle) * ins.size() + i) * lanes],
-                        lanes));
-    }
-    for (std::size_t o = 0; o < outs.size(); ++o) {
-      for (std::size_t l = 0; l < lanes; ++l) got_at(cycle, o, l, 0) = cs.get_output(out_idx[o], l);
-    }
-    cs.step();
-    for (std::size_t o = 0; o < outs.size(); ++o) {
-      for (std::size_t l = 0; l < lanes; ++l) got_at(cycle, o, l, 1) = cs.get_output(out_idx[o], l);
-    }
+  std::vector<LaneTrace> traces;
+  for (const int lane : lanes_to_check) traces.push_back({.lane = static_cast<std::size_t>(lane)});
+  for (std::size_t l = 0; lanes_to_check.empty() && l < SimPlan::kLanes; ++l) {
+    traces.push_back({.lane = l});
   }
 
-  // Interpreter oracle: replay each requested lane's trajectory.
-  std::vector<int> check(lanes_to_check.begin(), lanes_to_check.end());
-  if (check.empty()) {
-    for (std::size_t l = 0; l < lanes; ++l) check.push_back(static_cast<int>(l));
+  // Compiled pass: every input port of every lane re-randomized each
+  // cycle (values masked on both sides), the checked lanes traced.
+  Rng rng(seed);
+  SimContext cs(plan);
+  std::vector<std::uint64_t> frame(plan->input_count() * SimPlan::kLanes);
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    for (std::uint64_t& v : frame) v = rng();
+    cs.set_input_frame(frame);
+    for (LaneTrace& trace : traces) trace.before_edge(cs, frame);
+    cs.step();
+    for (LaneTrace& trace : traces) trace.after_edge(cs);
   }
-  for (const int lane : check) {
+  for (LaneTrace& trace : traces) trace.end(cs);
+
+  for (const LaneTrace& trace : traces) {
     Simulator sim(netlist);
-    for (int cycle = 0; cycle < cycles; ++cycle) {
-      for (std::size_t i = 0; i < ins.size(); ++i) {
-        sim.set_input(ins[i]->name, stim_at(cycle, i, static_cast<std::size_t>(lane)));
-      }
-      for (int phase = 0; phase < 2; ++phase) {
-        if (phase == 1) sim.step();
-        for (std::size_t o = 0; o < outs.size(); ++o) {
-          const std::uint64_t want = sim.get_output(outs[o]->name);
-          const std::uint64_t have =
-              got_at(cycle, o, static_cast<std::size_t>(lane), phase);
-          if (want != have) {
-            return "divergence in '" + netlist.name() + "': cycle " +
-                   std::to_string(cycle) + (phase == 0 ? " pre-edge" : " post-edge") +
-                   ", port '" + outs[o]->name + "', lane " + std::to_string(lane) +
-                   ": interpreter " + std::to_string(want) + ", compiled " +
-                   std::to_string(have);
-          }
-        }
-      }
+    if (std::string diff = replay_lane(sim, *plan, trace); !diff.empty()) {
+      return "divergence in '" + netlist.name() + "', lane " + std::to_string(trace.lane) +
+             ": " + diff;
     }
   }
   return {};

@@ -68,6 +68,8 @@
 
 namespace fpgasim {
 
+class Simulator;
+
 /// Immutable compiled execution plan: levelized schedule, slot layout,
 /// port tables, shared ROM images, the initial state image and the sparse
 /// writable-memory preloads. Thread-safe
@@ -246,7 +248,6 @@ class SimContext {
   explicit SimContext(std::shared_ptr<const SimPlan> plan);
 
   const SimPlan& plan() const { return *plan_; }
-  const std::shared_ptr<const SimPlan>& plan_ptr() const { return plan_; }
 
   /// Returns to the plan's initial state (cycle 0, pipes flushed, nets
   /// re-imaged, writable-memory pages written since the last reset zeroed
@@ -369,14 +370,39 @@ class SimContext {
   std::size_t resets_ = 0;
 };
 
+/// One lane's run on a compiled context, in plan port order, as the
+/// interpreter oracle replays it. Per cycle, before_edge records the driven
+/// `in_frame` (port-major, as set_input_frame takes it) and the outputs,
+/// after_edge the outputs after step(); end() records the final nets.
+struct LaneTrace {
+  std::size_t lane = 0;
+  std::size_t cycles = 0;
+  std::vector<std::uint64_t> inputs;  // cycles x input_count
+  std::vector<std::uint64_t> pre;     // cycles x output_count, read before each edge
+  std::vector<std::uint64_t> post;    // cycles x output_count, read after each edge
+  std::vector<std::uint64_t> nets;    // every net's value after the last edge
+
+  void before_edge(const SimContext& ctx, std::span<const std::uint64_t> in_frame);
+  void after_edge(const SimContext& ctx);
+  void end(const SimContext& ctx);
+};
+
+/// The lane replay both A/B checks share (compare_compiled_vs_interpreter
+/// and the engine audit, src/sim/engine). Drives `oracle` — an interpreter
+/// in its constructed state over the netlist `plan` was compiled from —
+/// with the trace's inputs and compares every output port before and
+/// after every edge, then every net after the last one. Returns the first
+/// divergence ("cycle 3 post-edge, port 'out_data': interpreter 5,
+/// compiled 4"), or the empty string when the lane matches.
+std::string replay_lane(Simulator& oracle, const SimPlan& plan, const LaneTrace& trace);
+
 /// A/B oracle check. Drives `netlist` through the compiled simulator with
 /// `cycles` cycles of seeded random stimulus (kLanes independent vectors,
 /// every input port re-randomized each cycle), then replays each lane in
-/// `lanes_to_check` (empty = all lanes) through the interpreter and
-/// compares every output port on every cycle, pre- and post-edge.
-/// Returns the empty string when bit-identical, else a description of the
-/// first divergence. When `plan` is given it is reused (no recompilation);
-/// it must have been compiled from `netlist`.
+/// `lanes_to_check` (empty = all lanes) through the interpreter with
+/// replay_lane. Returns the empty string when bit-identical, else a
+/// description of the first divergence. When `plan` is given it is reused
+/// (no recompilation); it must have been compiled from `netlist`.
 std::string compare_compiled_vs_interpreter(const Netlist& netlist, int cycles,
                                             std::uint64_t seed,
                                             std::span<const int> lanes_to_check = {},

@@ -104,39 +104,23 @@ void InferenceEngine::run_shard(std::size_t shard_index, int cycles, Shard& out)
   std::vector<std::uint64_t>& out_frame = out_frames_[ci];
   ctx.reset();
 
-  const std::size_t in_count = plan_->input_count();
-  const std::size_t out_count = plan_->output_count();
   const bool audited =
       opt_.check_every != 0 && shard_index % opt_.check_every == 0;
-  const auto audit_lane =
-      static_cast<std::size_t>((opt_.check_every != 0
-                                    ? shard_index / opt_.check_every
-                                    : 0) % kLanes);
-  // Audited shards record one lane's full stimulus/response trajectory for
-  // the interpreter replay below.
-  std::vector<std::uint64_t> audit_stim;
-  std::vector<std::uint64_t> audit_out;
-  if (audited) {
-    audit_stim.reserve(static_cast<std::size_t>(cycles) * in_count);
-    audit_out.reserve(static_cast<std::size_t>(cycles) * out_count);
-  }
+  // Audited shards trace one rotating lane for the interpreter replay
+  // below. Reading its outputs before the edge adds no settle: step()
+  // settles the same inputs first anyway.
+  LaneTrace audit{.lane = (opt_.check_every != 0 ? shard_index / opt_.check_every : 0) % kLanes};
 
   Rng rng(engine_shard_seed(opt_.seed, shard_index));
   std::uint64_t checksum = 0;
   for (int cycle = 0; cycle < cycles; ++cycle) {
     for (std::uint64_t& v : in_frame) v = rng();
     ctx.set_input_frame(in_frame);
+    if (audited) audit.before_edge(ctx, in_frame);
     ctx.step();
     ctx.get_output_frame(out_frame);
     for (const std::uint64_t v : out_frame) checksum = (checksum ^ v) * kFnvPrime;
-    if (audited) {
-      for (std::size_t i = 0; i < in_count; ++i) {
-        audit_stim.push_back(in_frame[i * kLanes + audit_lane]);
-      }
-      for (std::size_t o = 0; o < out_count; ++o) {
-        audit_out.push_back(out_frame[o * kLanes + audit_lane]);
-      }
-    }
+    if (audited) audit.after_edge(ctx);
   }
   // End-of-batch full-state digest: a deep accelerator pipeline may not
   // raise an output port within one batch, so the output-frame fold alone
@@ -144,17 +128,10 @@ void InferenceEngine::run_shard(std::size_t shard_index, int cycles, Shard& out)
   // makes the checksum (and the width-identity fingerprint built on it)
   // sensitive to the whole datapath.
   checksum = (checksum ^ ctx.state_digest()) * kFnvPrime;
-  // Audited shards also snapshot the audit lane's final per-net state for
-  // the interpreter comparison below (must copy before the context is
-  // released to another shard).
-  const std::size_t net_count = plan_->net_count();
-  std::vector<std::uint64_t> audit_nets;
-  if (audited) {
-    audit_nets.resize(net_count);
-    for (std::size_t n = 0; n < net_count; ++n) {
-      audit_nets[n] = ctx.peek_net(static_cast<NetId>(n), audit_lane);
-    }
-  }
+  // The audit lane's final nets, copied before another shard takes the
+  // context: comparing them makes the A/B bite even while the outputs are
+  // still in their pipeline latency shadow.
+  if (audited) audit.end(ctx);
   release_context(ci);
 
   out.vectors = static_cast<std::uint64_t>(cycles) * kLanes;
@@ -162,52 +139,20 @@ void InferenceEngine::run_shard(std::size_t shard_index, int cycles, Shard& out)
   out.checksum = checksum;
 
   if (!audited) return;
-  // Interpreter oracle: replay the audited lane vector-for-vector and
-  // compare every output port on every cycle. Audits share one
-  // interpreter, reset to its constructed state, one audit at a time.
   out.oracle_checks = 1;
+  if (opt_.corrupt_oracle) (audit.post.empty() ? audit.nets : audit.post).front() ^= 1;
+  // Audits share one interpreter, reset to its constructed state, one
+  // audit at a time.
   const std::lock_guard<std::mutex> lock(oracle_mutex_);
   if (oracle_) {
     oracle_->reset();
   } else {
     oracle_ = std::make_unique<Simulator>(netlist_);
   }
-  Simulator& oracle = *oracle_;
-  for (int cycle = 0; cycle < cycles; ++cycle) {
-    for (std::size_t i = 0; i < in_count; ++i) {
-      oracle.set_input(plan_->input_name(i),
-                       audit_stim[static_cast<std::size_t>(cycle) * in_count + i]);
-    }
-    oracle.step();
-    for (std::size_t o = 0; o < out_count; ++o) {
-      const std::uint64_t want = oracle.get_output(plan_->output_name(o));
-      std::uint64_t have = audit_out[static_cast<std::size_t>(cycle) * out_count + o];
-      if (opt_.corrupt_oracle) have ^= 1;
-      if (want != have) {
-        out.oracle_failures = 1;
-        out.failure = "shard " + std::to_string(shard_index) + " lane " +
-                      std::to_string(audit_lane) + " cycle " + std::to_string(cycle) +
-                      " port '" + plan_->output_name(o) + "': interpreter " +
-                      std::to_string(want) + ", compiled " + std::to_string(have);
-        return;
-      }
-    }
-  }
-  // Deep check: every net of the audited lane at end of batch, so the A/B
-  // bites even while the design's outputs are still in their pipeline
-  // latency shadow.
-  for (std::size_t n = 0; n < net_count; ++n) {
-    const std::uint64_t want = oracle.peek_net(static_cast<NetId>(n));
-    std::uint64_t have = audit_nets[n];
-    if (opt_.corrupt_oracle) have ^= 1;
-    if (want != have) {
-      out.oracle_failures = 1;
-      out.failure = "shard " + std::to_string(shard_index) + " lane " +
-                    std::to_string(audit_lane) + " net " + std::to_string(n) +
-                    " (end of batch): interpreter " + std::to_string(want) +
-                    ", compiled " + std::to_string(have);
-      return;
-    }
+  if (std::string diff = replay_lane(*oracle_, *plan_, audit); !diff.empty()) {
+    out.oracle_failures = 1;
+    out.failure = "shard " + std::to_string(shard_index) + " lane " +
+                  std::to_string(audit.lane) + ": " + diff;
   }
 }
 

@@ -22,13 +22,13 @@
 // exactly the width-invariant subset.
 //
 // Statistical golden-model agreement: every `check_every`-th shard also
-// replays one rotating lane of its whole batch through the interpreter
-// (sim/simulator.h, the semantics oracle) and compares every output port
-// on every cycle — a continuous A/B audit at ~1/(64*check_every) of the
-// serving cost, in the spirit of the compiled/interpreter cross-check
-// that gates the flow tests. The engine keeps one interpreter, built on
-// the first audit and reset for each later one, so audits reuse its
-// memory images instead of allocating a dense copy per audited shard.
+// traces one rotating lane of its whole batch and replays it through the
+// interpreter (sim/simulator.h, the semantics oracle) with replay_lane
+// (sim/compiled.h), the checks of compare_compiled_vs_interpreter: every
+// output port before and after every edge, then every net at the end — a
+// continuous A/B audit at ~1/(64*check_every) of the serving cost. The
+// engine keeps one interpreter, built on the first audit and reset for
+// each later one, so audits reuse its memory images.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +55,9 @@ struct EngineOptions {
   std::size_t check_every = 64;
   /// Stimulus seed; shard s draws from Rng(mix(seed, s)).
   std::uint64_t seed = 1;
-  /// Test hook: corrupts the compiled-side value inside every oracle
-  /// comparison, so each audited shard must report a failure (proves the
-  /// statistical check actually bites).
+  /// Test hook: flips one recorded compiled-side value in every audited
+  /// shard's trace before the replay, so each audited shard must report a
+  /// failure (proves the statistical check actually bites).
   bool corrupt_oracle = false;
 };
 

@@ -2,7 +2,23 @@
 
 #include <cassert>
 
+#include "util/rng.h"
+
 namespace fpgasim {
+
+std::vector<Fixed16> random_fixed(std::size_t count, std::uint64_t seed, int magnitude) {
+  std::vector<Fixed16> values(count);
+  Rng rng(seed);
+  for (Fixed16& v : values) {
+    v = Fixed16::from_raw(static_cast<std::int32_t>(rng.next_int(-magnitude, magnitude)));
+  }
+  return values;
+}
+
+Tensor random_tensor(int channels, int height, int width, std::uint64_t seed, int magnitude) {
+  const auto size = static_cast<std::size_t>(channels) * height * width;
+  return Tensor{channels, height, width, random_fixed(size, seed, magnitude)};
+}
 
 Tensor golden_conv2d(const Tensor& input, const std::vector<Fixed16>& weights,
                      const std::vector<Fixed16>& bias, int out_channels, int kernel,

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sim/fixed.h"
@@ -29,6 +30,14 @@ struct Tensor {
     return t;
   }
 };
+
+/// `count` seeded Q8.8 values, raw parts uniform in [-magnitude, magnitude]
+/// (util/rng.h): the stimulus and synthetic parameters of every consumer.
+std::vector<Fixed16> random_fixed(std::size_t count, std::uint64_t seed, int magnitude = 50);
+
+/// A tensor of random_fixed values.
+Tensor random_tensor(int channels, int height, int width, std::uint64_t seed,
+                     int magnitude = 50);
 
 /// Valid-padding 2D convolution with square kernel and unit stride unless
 /// given. weights layout: [out_c][in_c][k*k]; bias per out channel.

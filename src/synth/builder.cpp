@@ -4,12 +4,6 @@
 
 namespace fpgasim {
 
-std::uint16_t addr_bits(std::uint32_t depth) {
-  std::uint16_t bits = 1;
-  while ((1u << bits) < depth) ++bits;
-  return bits;
-}
-
 NetId NetlistBuilder::in_port(const std::string& name, std::uint16_t width) {
   const NetId net = new_net(width, name);
   netlist_.add_port(Port{name, PortDir::kInput, width, net});

@@ -104,7 +104,4 @@ class NetlistBuilder {
   Netlist netlist_;
 };
 
-/// Number of address bits needed for `depth` entries (>=1).
-std::uint16_t addr_bits(std::uint32_t depth);
-
 }  // namespace fpgasim

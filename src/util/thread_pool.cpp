@@ -37,7 +37,12 @@ ThreadPool::ThreadPool(ThreadPoolOptions opt) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true);
+  {
+    // Every change to the wait predicate holds sleep_mutex_, or a worker
+    // between checking it and blocking would miss the notify.
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    stop_.store(true);
+  }
   cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
@@ -57,7 +62,10 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(queues_[target]->mutex);
     queues_[target]->tasks.push_back(std::move(packaged));
   }
-  pending_.fetch_add(1);
+  {
+    std::lock_guard<std::mutex> lock(sleep_mutex_);  // see ~ThreadPool
+    pending_.fetch_add(1);
+  }
   cv_.notify_one();
   return future;
 }

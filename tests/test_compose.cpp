@@ -10,8 +10,6 @@ namespace fpgasim {
 namespace {
 
 using testhelpers::expect_tensor_eq;
-using testhelpers::random_params;
-using testhelpers::random_tensor;
 using testhelpers::run_stream;
 
 TEST(AliasNet, RewiresSinksOntoDrivenNet) {
@@ -146,8 +144,8 @@ TEST(StitchChain, FunctionallyEquivalentToSeparateComponents) {
   cp.kernel = 3;
   cp.in_h = 6;
   cp.in_w = 6;
-  const auto weights = random_params(static_cast<std::size_t>(2) * 2 * 9, 301);
-  const auto bias = random_params(2, 302);
+  const auto weights = random_fixed(static_cast<std::size_t>(2) * 2 * 9, 301);
+  const auto bias = random_fixed(2, 302);
   const Netlist conv = make_conv_component(cp, weights, bias);
   PoolParams pp;
   pp.channels = 2;
@@ -169,6 +167,43 @@ TEST(StitchChain, FunctionallyEquivalentToSeparateComponents) {
   expect_tensor_eq(out, expected.data);
 }
 
+TEST(StitchChain, StreamsImagesBackToBack) {
+  // Three images in one driver call: the chain drops in_ready while it
+  // computes and drains one image, and the driver must wait instead of
+  // losing words, so every word of every image comes out bit-exact.
+  ConvParams cp;
+  cp.in_c = 2;
+  cp.out_c = 2;
+  cp.kernel = 3;
+  cp.in_h = 6;
+  cp.in_w = 6;
+  const auto weights = random_fixed(static_cast<std::size_t>(2) * 2 * 9, 311);
+  const auto bias = random_fixed(2, 312);
+  PoolParams pp;
+  pp.channels = 2;
+  pp.kernel = 2;
+  pp.in_h = 4;
+  pp.in_w = 4;
+  pp.fuse_relu = true;
+  const Netlist conv = make_conv_component(cp, weights, bias);
+  const Netlist pool = make_pool_component(pp);
+  const Netlist chain = stitch_chain({&conv, &pool}, "conv_pool");
+
+  std::vector<Fixed16> words, expected;
+  for (std::uint64_t image = 0; image < 3; ++image) {
+    const Tensor input = random_tensor(2, 6, 6, 320 + image);
+    const Tensor golden =
+        golden_relu(golden_maxpool(golden_conv2d(input, weights, bias, 2, 3, 1), 2));
+    words.insert(words.end(), input.data.begin(), input.data.end());
+    expected.insert(expected.end(), golden.data.begin(), golden.data.end());
+  }
+  Simulator sim(chain);
+  const StreamRun run = drive_stream(sim, {words}, expected.size(), 100000);
+  ASSERT_TRUE(run.complete) << run.cycles << " cycles";
+  EXPECT_GT(run.stalled_cycles, 0u);
+  expect_tensor_eq(run.outputs[0], expected);
+}
+
 TEST(StitchChain, SingleStagePassesThrough) {
   const Netlist relu = make_relu_component("r");
   const Netlist chain = stitch_chain({&relu}, "solo");
@@ -186,7 +221,7 @@ Checkpoint make_fake_checkpoint(const std::string& name, int width_tiles) {
   p.in_h = 4;
   p.in_w = 4;
   Checkpoint cp;
-  cp.netlist = make_conv_component(p, random_params(4, 401), random_params(1, 402));
+  cp.netlist = make_conv_component(p, random_fixed(4, 401), random_fixed(1, 402));
   cp.phys.resize_for(cp.netlist);
   for (CellId c = 0; c < cp.netlist.cell_count(); ++c) {
     cp.phys.cell_loc[c] = TileCoord{static_cast<int>(c) % width_tiles, 2};

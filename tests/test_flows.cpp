@@ -3,6 +3,9 @@
 // the simulated substrate and that composition preserves functionality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/preimpl.h"
@@ -13,7 +16,6 @@ namespace fpgasim {
 namespace {
 
 using testhelpers::expect_tensor_eq;
-using testhelpers::random_tensor;
 using testhelpers::run_stream;
 
 struct MiniFlow {
@@ -91,12 +93,21 @@ TEST(Flows, LockedComponentRoutesSurviveComposition) {
 }
 
 TEST(Flows, MonolithicBaselineCompletesAndIsSlower) {
+  // Both flows take milliseconds here, so one run of each is at the mercy
+  // of scheduling noise: the timing claim compares the best of 3 runs.
   MiniFlow f;
-  const PreImplReport pre = f.compile().report;
-
-  Netlist flat = build_flat_netlist(f.model, f.impl, f.groups);
-  PhysState phys;
-  const MonoReport mono = run_monolithic_flow(f.device, flat, phys);
+  constexpr int kRuns = 3;
+  PreImplReport pre;
+  MonoReport mono;
+  double pre_best = std::numeric_limits<double>::infinity(), mono_best = pre_best;
+  for (int run = 0; run < kRuns; ++run) {
+    pre = f.compile().report;
+    Netlist flat = build_flat_netlist(f.model, f.impl, f.groups);
+    PhysState phys;
+    mono = run_monolithic_flow(f.device, flat, phys);
+    pre_best = std::min(pre_best, pre.total_seconds);
+    mono_best = std::min(mono_best, mono.total_seconds);
+  }
 
   EXPECT_TRUE(mono.route.success);
   EXPECT_GT(mono.timing.fmax_mhz, 0.0);
@@ -105,39 +116,12 @@ TEST(Flows, MonolithicBaselineCompletesAndIsSlower) {
   EXPECT_GT(pre.timing.fmax_mhz, mono.timing.fmax_mhz);
   // (2) productivity: the online architecture-optimization stage is much
   //     faster than the monolithic implementation,
-  EXPECT_LT(pre.total_seconds, mono.total_seconds);
+  EXPECT_LT(pre_best, mono_best);
   // (3) resources: phys-opt register insertion/replication can only grow
   //     the classic flow's footprint.
   EXPECT_GE(mono.stats.resources.ff, pre.stats.resources.ff);
   EXPECT_GE(mono.stats.resources.lut, pre.stats.resources.lut);
   EXPECT_EQ(mono.stats.resources.dsp, pre.stats.resources.dsp);
-}
-
-TEST(Flows, CompiledVerifyGatePassesInBothFlows) {
-  MiniFlow f;
-
-  PreImplOptions pre_opt;
-  pre_opt.compiled_verify = true;
-  pre_opt.compiled_verify_cycles = 16;
-  const PreImplReport pre = f.compile(pre_opt).report;
-  EXPECT_TRUE(pre.compiled_verify_ok);
-  EXPECT_GT(pre.compiled_verify_seconds, 0.0);
-
-  Netlist flat = build_flat_netlist(f.model, f.impl, f.groups);
-  PhysState phys;
-  MonoOptions mono_opt;
-  mono_opt.compiled_verify = true;
-  mono_opt.compiled_verify_cycles = 16;
-  const MonoReport mono = run_monolithic_flow(f.device, flat, phys, mono_opt);
-  EXPECT_TRUE(mono.compiled_verify_ok);
-  EXPECT_GT(mono.compiled_verify_seconds, 0.0);
-}
-
-TEST(Flows, CompiledVerifyGateDefaultsOff) {
-  MiniFlow f;
-  const PreImplReport pre = f.compile().report;
-  EXPECT_FALSE(pre.compiled_verify_ok);
-  EXPECT_EQ(pre.compiled_verify_seconds, 0.0);
 }
 
 TEST(Flows, ComponentMatchingFailsWithoutDatabase) {
@@ -278,7 +262,7 @@ TEST(Flows, ResblockPreImplEndToEndBitMatchesGolden) {
   // fork->add1, c2a->c2b, c2b->add1, add1->p1, p1->f1).
   EXPECT_EQ(composed.macro_nets.size(), 7u);
 
-  const Tensor input = testhelpers::random_tensor(2, 8, 8, 905);
+  const Tensor input = random_tensor(2, 8, 8, 905);
   const auto expected = reference_inference(f.model, input);
   Simulator sim(composed.netlist);
   const auto out = run_stream(sim, input.data, expected.size());
@@ -295,7 +279,7 @@ TEST(Flows, ResblockMonolithicBaselineBitMatchesGolden) {
   EXPECT_TRUE(mono.drc_place.clean()) << mono.drc_place.to_string();
   EXPECT_TRUE(mono.drc.clean()) << mono.drc.to_string();
 
-  const Tensor input = testhelpers::random_tensor(2, 8, 8, 906);
+  const Tensor input = random_tensor(2, 8, 8, 906);
   const auto expected = reference_inference(f.model, input);
   Simulator sim(flat);
   const auto out = run_stream(sim, input.data, expected.size());
@@ -335,7 +319,7 @@ TEST(Flows, ChainWrapperStillComposesChains) {
   EXPECT_TRUE(report.route.success);
   EXPECT_EQ(composed.instances.size(), 3u);
 
-  const Tensor input = testhelpers::random_tensor(2, 8, 8, 907);
+  const Tensor input = random_tensor(2, 8, 8, 907);
   const auto expected = reference_inference(f.model, input);
   Simulator sim(composed.netlist);
   const auto out = run_stream(sim, input.data, expected.size());

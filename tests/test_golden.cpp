@@ -6,18 +6,9 @@
 namespace fpgasim {
 namespace {
 
-Tensor random_tensor(int c, int h, int w, std::uint64_t seed, int magnitude = 60) {
-  Tensor t = Tensor::zeros(c, h, w);
-  Rng rng(seed);
-  for (Fixed16& v : t.data) {
-    v = Fixed16::from_raw(static_cast<std::int32_t>(rng.next_int(-magnitude, magnitude)));
-  }
-  return t;
-}
-
 TEST(Golden, ConvIdentityKernel) {
   // 1x1 kernel with weight 1.0 and zero bias is the identity.
-  Tensor in = random_tensor(2, 4, 4, 5);
+  Tensor in = random_tensor(2, 4, 4, 5, 60);
   const std::vector<Fixed16> w{Fixed16::from_double(1.0), Fixed16{0}, Fixed16{0},
                                Fixed16::from_double(1.0)};
   const std::vector<Fixed16> bias{Fixed16{0}, Fixed16{0}};
@@ -43,7 +34,7 @@ TEST(Golden, ConvKnownAnswer) {
 }
 
 TEST(Golden, ConvStride) {
-  Tensor in = random_tensor(1, 6, 6, 6);
+  Tensor in = random_tensor(1, 6, 6, 6, 60);
   const std::vector<Fixed16> w{Fixed16::from_double(1.0)};
   const Tensor out = golden_conv2d(in, w, {Fixed16{0}}, 1, 1, 2);
   EXPECT_EQ(out.height, 3);
@@ -73,7 +64,7 @@ TEST(Golden, MaxPoolPicksWindowMax) {
 
 TEST(Golden, PoolOutputDominatesInputs) {
   // Property: each pooled value is >= every value in its window.
-  const Tensor in = random_tensor(3, 8, 8, 7);
+  const Tensor in = random_tensor(3, 8, 8, 7, 60);
   const Tensor out = golden_maxpool(in, 2);
   for (int c = 0; c < 3; ++c) {
     for (int oy = 0; oy < 4; ++oy) {
@@ -89,7 +80,7 @@ TEST(Golden, PoolOutputDominatesInputs) {
 }
 
 TEST(Golden, ReluClampsNegativesOnly) {
-  const Tensor in = random_tensor(2, 5, 5, 11);
+  const Tensor in = random_tensor(2, 5, 5, 11, 60);
   const Tensor out = golden_relu(in);
   for (std::size_t i = 0; i < in.data.size(); ++i) {
     if (in.data[i].raw > 0) {
@@ -101,7 +92,7 @@ TEST(Golden, ReluClampsNegativesOnly) {
 }
 
 TEST(Golden, ReluIsIdempotent) {
-  const Tensor in = random_tensor(2, 5, 5, 13);
+  const Tensor in = random_tensor(2, 5, 5, 13, 60);
   const Tensor once = golden_relu(in);
   const Tensor twice = golden_relu(once);
   EXPECT_EQ(once.data, twice.data);
@@ -167,7 +158,7 @@ TEST(Golden, AvgPoolNegativeTiesRoundToEven) {
 }
 
 TEST(Golden, GlobalAvgPoolIsFullWindowAvgPool) {
-  const Tensor in = random_tensor(3, 4, 4, 23);
+  const Tensor in = random_tensor(3, 4, 4, 23, 60);
   const Tensor global = golden_global_avgpool(in);
   const Tensor full = golden_avgpool(in, 4);
   ASSERT_EQ(global.height, 1);
@@ -209,7 +200,7 @@ TEST(Golden, DwConvMatchesPerChannelConv) {
 }
 
 TEST(Golden, UpsampleReplicatesBlocks) {
-  const Tensor in = random_tensor(2, 3, 3, 41);
+  const Tensor in = random_tensor(2, 3, 3, 41, 60);
   const Tensor out = golden_upsample_nn(in, 3);
   EXPECT_EQ(out.channels, 2);
   EXPECT_EQ(out.height, 9);
@@ -224,7 +215,7 @@ TEST(Golden, UpsampleReplicatesBlocks) {
 }
 
 TEST(Golden, UpsampleFactorOneIsIdentity) {
-  const Tensor in = random_tensor(2, 4, 5, 43);
+  const Tensor in = random_tensor(2, 4, 5, 43, 60);
   const Tensor out = golden_upsample_nn(in, 1);
   EXPECT_EQ(out.data, in.data);
 }

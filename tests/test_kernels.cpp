@@ -8,12 +8,11 @@
 namespace fpgasim {
 namespace {
 
-using testhelpers::random_params;
 using testhelpers::run_stream;
 
 TEST(Kernels, MatrixMultiplyMatchesReference) {
-  const auto a = random_params(9, 201);
-  const auto b = random_params(9, 202);
+  const auto a = random_fixed(9, 201);
+  const auto b = random_fixed(9, 202);
   std::vector<Fixed16> input = a;
   input.insert(input.end(), b.begin(), b.end());
 
@@ -39,8 +38,8 @@ TEST(Kernels, MatrixMultiplyMatchesReference) {
 }
 
 TEST(Kernels, OuterProductMatchesReference) {
-  const auto a = random_params(3, 203);
-  const auto b = random_params(3, 204);
+  const auto a = random_fixed(3, 203);
+  const auto b = random_fixed(3, 204);
   std::vector<Fixed16> input = a;
   input.insert(input.end(), b.begin(), b.end());
 
@@ -56,7 +55,7 @@ TEST(Kernels, OuterProductMatchesReference) {
 }
 
 TEST(Kernels, RobertCrossMatchesReference) {
-  const auto tile = random_params(16, 205);
+  const auto tile = random_fixed(16, 205);
   auto px = [&](int y, int x) { return tile[static_cast<std::size_t>(4 * y + x)]; };
 
   const Netlist nl = make_kernel_component(KernelApp::kRobertCross, "rc");
@@ -74,7 +73,7 @@ TEST(Kernels, RobertCrossMatchesReference) {
 }
 
 TEST(Kernels, SmoothingMatchesReference) {
-  const auto tile = random_params(25, 206);
+  const auto tile = random_fixed(25, 206);
   auto px = [&](int y, int x) { return tile[static_cast<std::size_t>(5 * y + x)].raw; };
 
   const Netlist nl = make_kernel_component(KernelApp::kSmoothing, "sm");
@@ -119,8 +118,8 @@ TEST(Kernels, RepeatsAcrossRounds) {
   const Netlist nl = make_kernel_component(KernelApp::kOuterProduct, "op");
   Simulator sim(nl);
   for (int round = 0; round < 2; ++round) {
-    const auto a = random_params(3, 210 + static_cast<std::uint64_t>(round));
-    const auto b = random_params(3, 220 + static_cast<std::uint64_t>(round));
+    const auto a = random_fixed(3, 210 + static_cast<std::uint64_t>(round));
+    const auto b = random_fixed(3, 220 + static_cast<std::uint64_t>(round));
     std::vector<Fixed16> input = a;
     input.insert(input.end(), b.begin(), b.end());
     const auto out = run_stream(sim, input, 9);

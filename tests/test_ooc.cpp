@@ -7,8 +7,6 @@
 namespace fpgasim {
 namespace {
 
-using testhelpers::random_params;
-
 Netlist small_conv(bool materialize = true) {
   ConvParams p;
   p.name = "conv_ooc";
@@ -19,8 +17,8 @@ Netlist small_conv(bool materialize = true) {
   p.in_w = 6;
   p.ic_par = 2;
   p.materialize_roms = materialize;
-  return make_conv_component(p, materialize ? random_params(36, 501) : std::vector<Fixed16>{},
-                             materialize ? random_params(2, 502) : std::vector<Fixed16>{});
+  return make_conv_component(p, materialize ? random_fixed(36, 501) : std::vector<Fixed16>{},
+                             materialize ? random_fixed(2, 502) : std::vector<Fixed16>{});
 }
 
 TEST(OocFlow, ProducesLockedPlacedRoutedCheckpoint) {
@@ -118,12 +116,12 @@ TEST(OocFlow, CheckpointStillSimulatesCorrectly) {
   p.kernel = 3;
   p.in_h = 5;
   p.in_w = 5;
-  const auto weights = random_params(18, 601);
-  const auto bias = random_params(2, 602);
+  const auto weights = random_fixed(18, 601);
+  const auto bias = random_fixed(2, 602);
   const OocResult result =
       implement_ooc(device, make_conv_component(p, weights, bias));
 
-  const Tensor input = testhelpers::random_tensor(1, 5, 5, 603);
+  const Tensor input = random_tensor(1, 5, 5, 603);
   const Tensor expected = golden_conv2d(input, weights, bias, 2, 3, 1);
   Simulator sim(result.checkpoint.netlist);
   const auto out = testhelpers::run_stream(sim, input.data, expected.data.size());

@@ -11,12 +11,12 @@
 #include "flow/preimpl.h"
 #include "flow/service.h"
 #include "stream_harness.h"
+#include "util/rng.h"
 
 namespace fpgasim {
 namespace {
 
 using testhelpers::expect_tensor_eq;
-using testhelpers::random_tensor;
 using testhelpers::run_stream;
 
 CnnModel tiny_model() {

@@ -15,7 +15,7 @@
 #include "flow/preimpl.h"
 #include "flow/service.h"
 #include "route/router.h"
-#include "stream_harness.h"
+#include "sim/golden.h"
 #include "synth/builder.h"
 #include "synth/layers.h"
 #include "util/hash.h"
@@ -211,8 +211,7 @@ TEST(RouteDeterminism, BoundedRouteIsTranslationInvariant) {
   p.in_h = 6;
   p.in_w = 6;
   p.ic_par = 2;
-  const Netlist component = make_conv_component(p, testhelpers::random_params(36, 501),
-                                                testhelpers::random_params(2, 502));
+  const Netlist component = make_conv_component(p, random_fixed(36, 501), random_fixed(2, 502));
   const OocResult ooc = implement_ooc(device, component);
   const Checkpoint& cp = ooc.checkpoint;
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "cnn/zoo.h"
 #include "flow/build.h"
 #include "flow/monolithic.h"
 #include "flow/preimpl.h"
@@ -26,7 +27,6 @@
 namespace fpgasim {
 namespace {
 
-using testhelpers::random_tensor;
 using testhelpers::run_stream;
 using testhelpers::run_stream_batch;
 
@@ -782,6 +782,37 @@ TEST(CompiledPlan, ResblockBatchInferenceBitMatchesGoldenAndInterpreter) {
   const Tensor t17 = random_tensor(2, 8, 8, 2000 + 17);
   const auto interp = run_stream(sim, t17.data, expected[17].size());
   testhelpers::expect_tensor_eq(interp, out[17]);
+}
+
+TEST(CompiledPlan, LeNetStreamsTwoImagesPerLaneBackToBack) {
+  // Two images per lane in one driver call: every lane waits out the
+  // composed design's dropped in_ready between its images, produces both
+  // images' words bit-exact and, the handshake being data-independent,
+  // finishes in the same cycle as every other lane.
+  const ZooModel m = load_zoo_model("lenet");
+  CheckpointStore store(StoreOptions{});
+  const ComposedDesign composed =
+      CompileService(make_xcku5p_sim(), store).compile(m.model, m.impl, m.groups).design;
+  std::vector<std::vector<Fixed16>> inputs(SimContext::kLanes);
+  std::vector<std::vector<Fixed16>> expected(SimContext::kLanes);
+  for (std::size_t l = 0; l < SimContext::kLanes; ++l) {
+    for (std::uint64_t image = 0; image < 2; ++image) {
+      const Tensor t = random_tensor(1, 32, 32, 4000 + 2 * l + image, 40);
+      const std::vector<Fixed16> golden = reference_inference(m.model, t);
+      inputs[l].insert(inputs[l].end(), t.data.begin(), t.data.end());
+      expected[l].insert(expected[l].end(), golden.begin(), golden.end());
+    }
+  }
+  SimContext cs(SimPlan::compile(composed.netlist));
+  const StreamRun run = drive_stream(cs, inputs, expected[0].size(), 500000);
+  ASSERT_TRUE(run.complete) << run.cycles << " cycles";
+  EXPECT_GT(run.stalled_cycles, 0u);
+  for (std::size_t l = 0; l < SimContext::kLanes; ++l) {
+    EXPECT_EQ(run.last_output_cycle[l], run.last_output_cycle[0]) << "lane " << l;
+    for (std::size_t i = 0; i < expected[l].size(); ++i) {
+      ASSERT_EQ(run.outputs[l][i].raw, expected[l][i].raw) << "lane " << l << " word " << i;
+    }
+  }
 }
 
 TEST(CompiledPlan, MiniChainBatchInferenceMatchesGolden) {

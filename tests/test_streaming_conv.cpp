@@ -2,14 +2,10 @@
 
 #include "sim/golden.h"
 #include "sim/simulator.h"
-#include "stream_harness.h"
 #include "synth/streaming_conv.h"
 
 namespace fpgasim {
 namespace {
-
-using testhelpers::random_params;
-using testhelpers::random_tensor;
 
 /// Drives the streaming engine with a whole frame (all channels in
 /// parallel, pixel-major) and collects the per-channel output planes.
@@ -74,8 +70,8 @@ TEST_P(StreamingConv, MatchesGoldenOnInteriorWindows) {
   p.dsp_stages = tc.stages;
   p.fuse_relu = tc.relu;
   const auto weights =
-      random_params(static_cast<std::size_t>(tc.out_c) * tc.in_c * tc.kernel * tc.kernel, 71);
-  const auto bias = random_params(static_cast<std::size_t>(tc.out_c), 72);
+      random_fixed(static_cast<std::size_t>(tc.out_c) * tc.in_c * tc.kernel * tc.kernel, 71);
+  const auto bias = random_fixed(static_cast<std::size_t>(tc.out_c), 72);
   const Tensor input = random_tensor(tc.in_c, tc.h, tc.w, 73);
   Tensor expected = golden_conv2d(input, weights, bias, tc.out_c, tc.kernel, 1);
   if (tc.relu) expected = golden_relu(expected);
@@ -115,8 +111,8 @@ TEST(StreamingConv, DspCountIsFullyParallel) {
   p.out_c = 4;
   p.kernel = 3;
   p.in_w = 8;
-  const auto weights = random_params(static_cast<std::size_t>(4) * 2 * 9, 81);
-  const auto bias = random_params(4, 82);
+  const auto weights = random_fixed(static_cast<std::size_t>(4) * 2 * 9, 81);
+  const auto bias = random_fixed(4, 82);
   const Netlist nl = make_streaming_conv_component(p, weights, bias);
   EXPECT_EQ(nl.stats().resources.dsp, p.dsp_count());  // 72: one DSP per tap
   EXPECT_EQ(nl.stats().resources.bram, 0);             // pure SRL line buffers
@@ -129,8 +125,8 @@ TEST(StreamingConv, ThroughputIsOnePixelPerCycle) {
   p.out_c = 1;
   p.kernel = 3;
   p.in_w = 8;
-  const auto weights = random_params(9, 91);
-  const auto bias = random_params(1, 92);
+  const auto weights = random_fixed(9, 91);
+  const auto bias = random_fixed(1, 92);
   const Netlist nl = make_streaming_conv_component(p, weights, bias);
   Simulator sim(nl);
   sim.set_input("in_valid", 1);

@@ -9,8 +9,6 @@ namespace fpgasim {
 namespace {
 
 using testhelpers::expect_tensor_eq;
-using testhelpers::random_params;
-using testhelpers::random_tensor;
 using testhelpers::run_stream;
 
 struct ConvCase {
@@ -40,8 +38,8 @@ TEST_P(ConvComponent, MatchesGoldenModel) {
   p.dsp_stages = tc.dsp_stages;
 
   const auto weights =
-      random_params(static_cast<std::size_t>(tc.out_c) * tc.in_c * tc.kernel * tc.kernel, 11);
-  const auto bias = random_params(static_cast<std::size_t>(tc.out_c), 12);
+      random_fixed(static_cast<std::size_t>(tc.out_c) * tc.in_c * tc.kernel * tc.kernel, 11);
+  const auto bias = random_fixed(static_cast<std::size_t>(tc.out_c), 12);
   const Tensor input = random_tensor(tc.in_c, tc.h, tc.w, 13);
   const Tensor expected = golden_conv2d(input, weights, bias, tc.out_c, tc.kernel, tc.stride);
 
@@ -77,8 +75,8 @@ TEST(ConvComponent, FusedReluClampsOutputs) {
   p.in_h = 5;
   p.in_w = 5;
   p.fuse_relu = true;
-  const auto weights = random_params(static_cast<std::size_t>(2) * 9, 31);
-  const auto bias = random_params(2, 32);
+  const auto weights = random_fixed(static_cast<std::size_t>(2) * 9, 31);
+  const auto bias = random_fixed(2, 32);
   const Tensor input = random_tensor(1, 5, 5, 33);
   const Tensor expected =
       golden_relu(golden_conv2d(input, weights, bias, 2, 3, 1));
@@ -98,8 +96,8 @@ TEST(ConvComponent, ProcessesBackToBackImages) {
   p.in_w = 5;
   p.ic_par = 2;
   p.oc_par = 2;
-  const auto weights = random_params(static_cast<std::size_t>(2) * 2 * 9, 41);
-  const auto bias = random_params(2, 42);
+  const auto weights = random_fixed(static_cast<std::size_t>(2) * 2 * 9, 41);
+  const auto bias = random_fixed(2, 42);
   const Netlist nl = make_conv_component(p, weights, bias);
   Simulator sim(nl);
   for (int image = 0; image < 2; ++image) {
@@ -159,9 +157,9 @@ TEST(ConvComponent, WeightBufferShrinksBramFootprint) {
 
 TEST(FcComponent, MatchesGoldenFc) {
   const int inputs = 12, outputs = 6;
-  const auto weights = random_params(static_cast<std::size_t>(outputs) * inputs, 61);
-  const auto bias = random_params(static_cast<std::size_t>(outputs), 62);
-  const auto input = random_params(static_cast<std::size_t>(inputs), 63);
+  const auto weights = random_fixed(static_cast<std::size_t>(outputs) * inputs, 61);
+  const auto bias = random_fixed(static_cast<std::size_t>(outputs), 62);
+  const auto input = random_fixed(static_cast<std::size_t>(inputs), 63);
   const auto expected = golden_fc(input, weights, bias, outputs);
 
   const Netlist nl = make_fc_component("fc_t", inputs, outputs, weights, bias, 4, 2);
@@ -172,9 +170,9 @@ TEST(FcComponent, MatchesGoldenFc) {
 }
 
 TEST(FcComponent, SingleOutputNeuron) {
-  const auto weights = random_params(8, 71);
-  const auto bias = random_params(1, 72);
-  const auto input = random_params(8, 73);
+  const auto weights = random_fixed(8, 71);
+  const auto bias = random_fixed(1, 72);
+  const auto input = random_fixed(8, 73);
   const auto expected = golden_fc(input, weights, bias, 1);
   const Netlist nl_sim = make_fc_component("fc1", 8, 1, weights, bias);
   Simulator sim(nl_sim);
@@ -193,26 +191,16 @@ TEST(ConvComponent, CycleCountMatchesAnalyticModel) {
   p.in_w = 6;
   p.ic_par = 1;
   p.oc_par = 1;
-  const auto weights = random_params(static_cast<std::size_t>(2) * 2 * 9, 81);
-  const auto bias = random_params(2, 82);
+  const auto weights = random_fixed(static_cast<std::size_t>(2) * 2 * 9, 81);
+  const auto bias = random_fixed(2, 82);
   const Tensor input = random_tensor(2, 6, 6, 83);
   const Netlist nl_sim = make_conv_component(p, weights, bias);
   Simulator sim(nl_sim);
-  sim.set_input("out_ready", 1);
-  sim.set_input("in_valid", 1);
-  for (const Fixed16& v : input.data) {
-    sim.set_input("in_data", static_cast<std::uint16_t>(v.raw));
-    sim.step();
-  }
-  sim.set_input("in_valid", 0);
   const std::size_t want = static_cast<std::size_t>(p.out_c) * p.out_h() * p.out_w();
-  std::size_t got = 0;
-  long cycles = 0;
-  while (got < want && cycles < 100000) {
-    sim.step();
-    ++cycles;
-    if (sim.get_output("out_valid") == 1) ++got;
-  }
+  const StreamRun run = drive_stream(sim, {input.data}, want, 100000);
+  ASSERT_TRUE(run.complete);
+  // LOAD takes one cycle per input word; COMPUTE and DRAIN follow.
+  const auto cycles = static_cast<long>(run.cycles - input.data.size());
   const long model = p.compute_cycles() + p.drain_cycles();
   EXPECT_NEAR(static_cast<double>(cycles), static_cast<double>(model), 16.0);
 }

@@ -11,7 +11,6 @@ namespace fpgasim {
 namespace {
 
 using testhelpers::expect_tensor_eq;
-using testhelpers::random_tensor;
 using testhelpers::run_stream;
 
 struct PoolCase {
@@ -97,9 +96,9 @@ TEST_P(DwConvComponent, MatchesGoldenModel) {
   p.fuse_relu = tc.fuse_relu;
 
   const Tensor input = random_tensor(tc.channels, tc.h, tc.w, 211, 40);
-  const auto weights = testhelpers::random_params(
+  const auto weights = random_fixed(
       static_cast<std::size_t>(tc.channels) * tc.kernel * tc.kernel, 212, 48);
-  const auto bias = testhelpers::random_params(static_cast<std::size_t>(tc.channels), 213, 48);
+  const auto bias = random_fixed(static_cast<std::size_t>(tc.channels), 213, 48);
   Tensor expected = golden_dwconv2d(input, weights, bias, tc.kernel, tc.stride);
   if (tc.fuse_relu) expected = golden_relu(expected);
 
@@ -124,8 +123,8 @@ TEST(DwConvComponent, ProcessesBackToBackImages) {
   p.kernel = 3;
   p.in_h = 5;
   p.in_w = 5;
-  const auto weights = testhelpers::random_params(2 * 3 * 3, 220, 48);
-  const auto bias = testhelpers::random_params(2, 221, 48);
+  const auto weights = random_fixed(2 * 3 * 3, 220, 48);
+  const auto bias = random_fixed(2, 221, 48);
   const Netlist nl = make_dwconv_component(p, weights, bias);
   Simulator sim(nl);
   for (int image = 0; image < 3; ++image) {
@@ -142,8 +141,8 @@ TEST(DwConvComponent, UsesOneDspMac) {
   p.kernel = 3;
   p.in_h = 6;
   p.in_w = 6;
-  const auto weights = testhelpers::random_params(4 * 3 * 3, 230, 48);
-  const auto bias = testhelpers::random_params(4, 231, 48);
+  const auto weights = random_fixed(4 * 3 * 3, 230, 48);
+  const auto bias = random_fixed(4, 231, 48);
   const Netlist nl = make_dwconv_component(p, weights, bias);
   EXPECT_EQ(nl.stats().resources.dsp, 1);  // channels share a single MAC
 }
@@ -291,30 +290,18 @@ TEST(UpsampleComponent, RejectsNonPositiveFactor) {
 TEST(ReluComponent, RectifiesStream) {
   const Netlist nl = make_relu_component("relu_t");
   Simulator sim(nl);
-  sim.set_input("out_ready", 1);
-  sim.set_input("in_valid", 1);
-  const std::int16_t values[] = {-300, -1, 0, 1, 250};
-  std::vector<std::int16_t> got;
-  for (std::int16_t v : values) {
-    sim.set_input("in_data", static_cast<std::uint16_t>(v));
-    sim.step();
-    if (sim.get_output("out_valid") == 1) {
-      got.push_back(static_cast<std::int16_t>(
-          static_cast<std::uint16_t>(sim.get_output("out_data"))));
-    }
-  }
-  sim.set_input("in_valid", 0);
-  sim.step();
-  if (sim.get_output("out_valid") == 1) {
-    got.push_back(static_cast<std::int16_t>(
-        static_cast<std::uint16_t>(sim.get_output("out_data"))));
-  }
+  std::vector<Fixed16> values;
+  for (const std::int16_t v : {-300, -1, 0, 1, 250}) values.push_back(Fixed16::from_raw(v));
+  const StreamRun run = drive_stream(sim, {values}, values.size(), 100);
+  ASSERT_TRUE(run.complete);
+  EXPECT_EQ(run.cycles, values.size());  // one word per cycle, no stall
+  const std::vector<Fixed16>& got = run.outputs[0];
   ASSERT_EQ(got.size(), 5u);
-  EXPECT_EQ(got[0], 0);
-  EXPECT_EQ(got[1], 0);
-  EXPECT_EQ(got[2], 0);
-  EXPECT_EQ(got[3], 1);
-  EXPECT_EQ(got[4], 250);
+  EXPECT_EQ(got[0].raw, 0);
+  EXPECT_EQ(got[1].raw, 0);
+  EXPECT_EQ(got[2].raw, 0);
+  EXPECT_EQ(got[3].raw, 1);
+  EXPECT_EQ(got[4].raw, 250);
 }
 
 }  // namespace

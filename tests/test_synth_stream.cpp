@@ -9,8 +9,6 @@
 namespace fpgasim {
 namespace {
 
-using testhelpers::random_params;
-
 TEST(StreamFifo, PreservesOrderThroughFillAndDrain) {
   const Netlist nl = make_stream_fifo("fifo_t", 4);
   Simulator sim(nl);
@@ -68,7 +66,7 @@ TEST(StreamFifo, EmptyFifoHasNoValidOutput) {
 }
 
 TEST(InputStreamer, PlaysImageInOrder) {
-  const auto image = random_params(10, 7);
+  const auto image = random_fixed(10, 7);
   const Netlist nl = make_input_streamer("src", image);
   Simulator sim(nl);
   sim.set_input("out_ready", 1);
@@ -86,7 +84,7 @@ TEST(InputStreamer, PlaysImageInOrder) {
 
 TEST(InputStreamer, DoesNotDropWordsAcrossBackpressure) {
   // The prefetch register must hold the current word while ready is low.
-  const auto image = random_params(6, 9);
+  const auto image = random_fixed(6, 9);
   const Netlist nl = make_input_streamer("src", image);
   Simulator sim(nl);
   std::vector<std::int16_t> got;
@@ -110,7 +108,7 @@ TEST(InputStreamer, DoesNotDropWordsAcrossBackpressure) {
 }
 
 TEST(InputStreamer, LoopsAfterOneImage) {
-  const auto image = random_params(4, 10);
+  const auto image = random_fixed(4, 10);
   const Netlist nl = make_input_streamer("src", image);
   Simulator sim(nl);
   sim.set_input("out_ready", 1);
@@ -131,7 +129,7 @@ TEST(MmuComponent, BuffersAndForwardsBurst) {
   const Netlist nl = make_mmu_component("mmu", words);
   ASSERT_TRUE(nl.validate().empty());
   Simulator sim(nl);
-  const auto burst = random_params(static_cast<std::size_t>(words), 14);
+  const auto burst = random_fixed(static_cast<std::size_t>(words), 14);
   sim.set_input("out_ready", 1);
   sim.set_input("in_valid", 1);
   for (const Fixed16& v : burst) {
@@ -209,8 +207,8 @@ TEST(AddComponent, MatchesGoldenSaturatingAdd) {
   const Netlist nl = make_add_component("add_t", volume, 2);
   ASSERT_TRUE(nl.validate().empty());
   // Large magnitudes so Q8.8 saturation is actually exercised.
-  const Tensor a = testhelpers::random_tensor(2, 3, 3, 21, 30000);
-  const Tensor b = testhelpers::random_tensor(2, 3, 3, 22, 30000);
+  const Tensor a = random_tensor(2, 3, 3, 21, 30000);
+  const Tensor b = random_tensor(2, 3, 3, 22, 30000);
   const Tensor expected = golden_add({&a, &b});
   Simulator sim(nl);
   const auto out = run_multi_stream(sim, {a.data, b.data},
@@ -222,9 +220,9 @@ TEST(AddComponent, ThreeWayJoinAndFusedRelu) {
   const int volume = 6;
   const Netlist nl = make_add_component("add3_t", volume, 3, /*fuse_relu=*/true);
   ASSERT_TRUE(nl.validate().empty());
-  const Tensor a = testhelpers::random_tensor(1, 2, 3, 31);
-  const Tensor b = testhelpers::random_tensor(1, 2, 3, 32);
-  const Tensor c = testhelpers::random_tensor(1, 2, 3, 33);
+  const Tensor a = random_tensor(1, 2, 3, 31);
+  const Tensor b = random_tensor(1, 2, 3, 32);
+  const Tensor c = random_tensor(1, 2, 3, 33);
   const Tensor expected = golden_relu(golden_add({&a, &b, &c}));
   Simulator sim(nl);
   const auto out =
@@ -236,8 +234,8 @@ TEST(ConcatComponent, AppendsStreamsInPortOrder) {
   // Unequal channel counts: 2x2x2 ++ 1x2x2 -> 3 channels.
   const Netlist nl = make_concat_component("cat_t", {8, 4});
   ASSERT_TRUE(nl.validate().empty());
-  const Tensor a = testhelpers::random_tensor(2, 2, 2, 41);
-  const Tensor b = testhelpers::random_tensor(1, 2, 2, 42);
+  const Tensor a = random_tensor(2, 2, 2, 41);
+  const Tensor b = random_tensor(1, 2, 2, 42);
   const Tensor expected = golden_concat({&a, &b});
   Simulator sim(nl);
   const auto out = run_multi_stream(sim, {a.data, b.data}, expected.data.size());
@@ -247,7 +245,7 @@ TEST(ConcatComponent, AppendsStreamsInPortOrder) {
 TEST(StreamFork, BroadcastsToAllBranchesUnderSkewedBackpressure) {
   const Netlist nl = make_stream_fork("fork_t", 2);
   ASSERT_TRUE(nl.validate().empty());
-  const auto words = random_params(16, 51);
+  const auto words = random_fixed(16, 51);
   Simulator sim(nl);
   std::vector<std::int16_t> got0, got1;
   std::size_t pos = 0;

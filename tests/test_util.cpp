@@ -193,6 +193,19 @@ TEST(ParallelFor, RethrowsWorkerException) {
                std::runtime_error);
 }
 
+TEST(ParallelFor, ManyShortLoopsOnWidthTwoPoolNeverLoseAWakeUp) {
+  // Each call submits one helper task and waits for it; a submit whose
+  // notify lands between an idle worker's predicate check and its wait
+  // would leave that helper queued forever and hang the caller.
+  ThreadPool pool(2);
+  std::atomic<std::size_t> total{0};
+  constexpr std::size_t kLoops = 20000;
+  for (std::size_t loop = 0; loop < kLoops; ++loop) {
+    parallel_for(0, 2, [&](std::size_t) { total.fetch_add(1); }, &pool);
+  }
+  EXPECT_EQ(total.load(), 2 * kLoops);
+}
+
 TEST(Stopwatch, MeasuresElapsedNonNegative) {
   Stopwatch sw;
   EXPECT_GE(sw.seconds(), 0.0);

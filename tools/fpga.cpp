@@ -11,8 +11,9 @@
 // FPGASIM_THREADS width.
 //
 // Exit status: 0 = ok, 1 = the check failed (lint errors, a divergence, an
-// oracle failure, a store problem, a golden mismatch or stall), 2 = usage
-// error (a bad numeric flag included) or a design that failed to build/load.
+// oracle failure, a store problem, a golden mismatch or an incomplete
+// stream), 2 = usage error (a bad numeric flag included) or a design that
+// failed to build/load.
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
@@ -39,8 +40,8 @@
 #include "sim/compiled.h"
 #include "sim/engine/engine.h"
 #include "sim/simulator.h"
+#include "sim/stream.h"
 #include "util/json.h"
-#include "util/rng.h"
 
 namespace {
 
@@ -609,44 +610,22 @@ int cmd_run(Args& args) {
               pre.stitch_fraction() * 100.0);
   if (!pre.lint.clean() || !mono.lint.clean()) return 1;
 
-  // One seeded tensor through the composed design on the interpreter:
-  // in_ready must hold for every input word and every output word must
-  // match the golden reference.
+  // One seeded tensor through the composed design on the interpreter,
+  // driven by the valid/ready protocol; every output word must match the
+  // golden reference.
   const Shape shape = m.model.layers().front().out_shape;
-  Tensor input = Tensor::zeros(shape.c, shape.h, shape.w);
-  Rng rng(4321);
-  for (auto& v : input.data) {
-    v = Fixed16::from_raw(static_cast<std::int32_t>(rng.next_int(-40, 40)));
-  }
+  const Tensor input = random_tensor(shape.c, shape.h, shape.w, 4321, 40);
   const std::vector<Fixed16> expected = reference_inference(m.model, input);
   std::printf("streaming a %dx%dx%d tensor through the composed accelerator...\n", shape.c,
               shape.h, shape.w);
   Simulator sim(accelerator.netlist);
-  sim.set_input("out_ready", 1);
-  sim.set_input("in_valid", 1);
-  for (int spin = 0; spin < 64 && sim.get_output("in_ready") != 1; ++spin) sim.step();
-  for (std::size_t i = 0; i < input.data.size(); ++i) {
-    if (sim.get_output("in_ready") != 1) {
-      std::printf("input stalled at word %zu of %zu -- STALL\n", i, input.data.size());
-      return 1;
-    }
-    sim.set_input("in_data", static_cast<std::uint16_t>(input.data[i].raw));
-    sim.step();
-  }
-  sim.set_input("in_valid", 0);
-  std::size_t outputs = 0, mismatches = 0;
-  for (long guard = 0; outputs < expected.size() && guard < 30000000; ++guard) {
-    sim.step();
-    if (sim.get_output("out_valid") == 1) {
-      const auto raw = static_cast<std::int16_t>(
-          static_cast<std::uint16_t>(sim.get_output("out_data")));
-      mismatches += raw != expected[outputs].raw;
-      ++outputs;
-    }
-  }
-  const bool exact = mismatches == 0 && outputs == expected.size();
-  std::printf("%zu of %zu outputs in %llu cycles, %zu mismatches -- %s\n", outputs,
-              expected.size(), static_cast<unsigned long long>(sim.cycle()), mismatches,
+  const StreamRun run = drive_stream(sim, {input.data}, expected.size(), 30000000);
+  const std::vector<Fixed16>& out = run.outputs[0];
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) mismatches += out[i] != expected[i];
+  const bool exact = mismatches == 0 && run.complete;
+  std::printf("%zu of %zu outputs in %llu cycles, %zu mismatches -- %s\n", out.size(),
+              expected.size(), static_cast<unsigned long long>(run.cycles), mismatches,
               exact ? "MATCHES GOLDEN" : "MISMATCH");
   return exact ? 0 : 1;
 }
