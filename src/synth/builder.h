@@ -72,6 +72,17 @@ class NetlistBuilder {
   NetId delay(NetId d, int n, std::uint16_t width);
   NetId srl(NetId d, NetId ce, std::uint16_t depth, std::uint16_t width);
 
+  /// Feedback register: an FF whose output exists before its inputs, for
+  /// state that feeds its own next-value logic (FSM state, latches,
+  /// accumulators). Wire it with close() once the next value is built.
+  struct Reg {
+    CellId cell = kInvalidCell;
+    NetId q = kInvalidNet;
+  };
+  Reg reg(std::uint16_t width, std::string cell_name, std::string net_name = {});
+  /// Connects a reg's next value `d` and its clock enable `ce`.
+  void close(const Reg& reg, NetId d, NetId ce);
+
   /// Synchronous-read memory. Pass kInvalidNet for wdata/we to build a ROM.
   /// When raddr is given the BRAM is dual-port: reads use raddr, writes
   /// use addr; otherwise both share addr.

@@ -23,7 +23,8 @@ namespace {
 /// |x| built from two rectifiers: relu(x) + relu(-x).
 NetId abs_net(NetlistBuilder& b, NetId x) {
   const NetId neg = b.sub(b.zero(kDataW), x, kDataW);
-  return b.add(b.relu(x, kDataW), b.relu(neg, kDataW), kDataW);
+  const NetId neg_part = b.relu(neg, kDataW);
+  return b.add(b.relu(x, kDataW), neg_part, kDataW);
 }
 
 /// Shared scaffold: LOAD n_in words into a register file, one COMPUTE
@@ -38,12 +39,8 @@ Netlist make_pe_block(const std::string& name, int n_in,
   const NetId out_ready = b.in_port("out_ready", 1);
 
   // 2-bit FSM: 0 = LOAD, 1 = COMPUTE (single cycle), 2 = DRAIN.
-  Cell st_cell;
-  st_cell.type = CellType::kFf;
-  st_cell.width = 2;
-  const CellId st_reg = b.netlist().add_cell(std::move(st_cell));
-  const NetId state = b.netlist().add_net(2, "state");
-  b.netlist().connect_output(st_reg, 0, state);
+  const NetlistBuilder::Reg st = b.reg(2, {}, "state");
+  const NetId state = st.q;
   const NetId is_load = b.eq(state, b.constant(0, 2));
   const NetId is_compute = b.eq(state, b.constant(1, 2));
   const NetId is_drain = b.eq(state, b.constant(2, 2));
@@ -71,11 +68,12 @@ Netlist make_pe_block(const std::string& name, int n_in,
   const NetId out_data = b.muxn(results, dcnt.value, kDataW);
 
   NetId next_state = state;
-  next_state = b.mux2(next_state, b.constant(1, 2), b.and2(is_load, lcnt.wrap), 2);
+  const NetId loaded = b.and2(is_load, lcnt.wrap);
+  next_state = b.mux2(next_state, b.constant(1, 2), loaded, 2);
   next_state = b.mux2(next_state, b.constant(2, 2), is_compute, 2);
-  next_state = b.mux2(next_state, b.constant(0, 2), b.and2(is_drain, dcnt.wrap), 2);
-  b.netlist().connect_input(st_reg, 0, next_state);
-  b.netlist().connect_input(st_reg, 1, b.one());
+  const NetId drained = b.and2(is_drain, dcnt.wrap);
+  next_state = b.mux2(next_state, b.constant(0, 2), drained, 2);
+  b.close(st, next_state, b.one());
 
   b.out_port("in_ready", is_load);
   b.out_port("out_data", out_data);
@@ -128,7 +126,8 @@ Netlist make_kernel_component(KernelApp app, const std::string& name) {
           for (int j = 0; j < 3; ++j) {
             const NetId gx = b.sub(px(i, j), px(i + 1, j + 1), kDataW);
             const NetId gy = b.sub(px(i + 1, j), px(i, j + 1), kDataW);
-            out.push_back(b.add(abs_net(b, gx), abs_net(b, gy), kDataW));
+            const NetId abs_gy = abs_net(b, gy);
+            out.push_back(b.add(abs_net(b, gx), abs_gy, kDataW));
           }
         }
         return out;

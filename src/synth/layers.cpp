@@ -13,28 +13,109 @@ constexpr std::uint64_t kStLoad = 0;
 constexpr std::uint64_t kStCompute = 1;
 constexpr std::uint64_t kStDrain = 2;
 
-/// Forward-declared state register: created first so the next-state logic
-/// can reference the current state; wired up at the end.
-struct StateReg {
-  CellId reg = kInvalidCell;
-  NetId value = kInvalidNet;
+enum class Source { kStream, kJoin };  // kJoin: per-port inputs via make_join_port
+enum class Phases { kLoadDrain, kLoadComputeDrain };
+
+/// The LOAD -> COMPUTE -> DRAIN schedule every memory-based engine runs
+/// (Sec. IV-B3): the stream ports, the fsm_state register and its
+/// decodes, the done-latch freeze of the COMPUTE sweep, the registered
+/// drain output and the next-state logic. An engine adds only its
+/// datapath between these calls. Cell order is part of the netlist, so
+/// each method creates its cells where the engine calls it.
+class Controller {
+ public:
+  NetlistBuilder builder;
+  NetId in_data = kInvalidNet;   // Source::kStream only
+  NetId in_valid = kInvalidNet;  // Source::kStream only
+  NetId is_load = kInvalidNet;
+  NetId is_compute = kInvalidNet;  // Phases::kLoadComputeDrain only
+  NetId is_drain = kInvalidNet;
+  NetId streaming = kInvalidNet;  // set by begin_drain
+
+  Controller(std::string name, Source source, Phases phases)
+      : builder(std::move(name)), source_(source) {
+    NetlistBuilder& b = builder;
+    if (source == Source::kStream) {
+      in_data = b.in_port("in_data", kDataW);
+      in_valid = b.in_port("in_valid", 1);
+    }
+    out_ready_ = b.in_port("out_ready", 1);
+    state_ = b.reg(2, "fsm_state", "state");
+    is_load = b.eq(state_.q, b.constant(kStLoad, 2));
+    if (phases == Phases::kLoadComputeDrain) {
+      is_compute = b.eq(state_.q, b.constant(kStCompute, 2));
+    }
+    is_drain = b.eq(state_.q, b.constant(kStDrain, 2));
+  }
+
+  /// COMPUTE-sweep enable. The sweep freezes once its last term has issued
+  /// (done_latch), so the datapath pipeline can flush before DRAIN and the
+  /// counters re-enter COMPUTE at zero for the next image. end_sweep
+  /// closes the latch on the sweep's last-term condition.
+  NetId begin_sweep() {
+    done_latch_ = builder.reg(1, "done_latch");
+    return builder.and2(is_compute, builder.not1(done_latch_.q));
+  }
+  void end_sweep(NetId compute_done) {
+    const NetId held = builder.and2(is_compute, builder.or2(done_latch_.q, compute_done));
+    builder.close(done_latch_, held, builder.one());
+  }
+
+  /// `streaming` = is_drain & out_ready: advances the engine's drain
+  /// counters by one word.
+  NetId begin_drain() {
+    streaming = builder.and2(is_drain, out_ready_);
+    return streaming;
+  }
+
+  /// The drain-output contract: out_data is `data` registered in ob_reg,
+  /// and out_valid is `streaming` delayed two cycles (memory read, then
+  /// ob_reg). A word is presented two cycles after out_ready allowed it,
+  /// whatever out_ready does by then.
+  void drain_output(NetId data) {
+    out_data_ = builder.ff(data, kInvalidNet, kDataW, "ob_reg");
+    out_valid_ = builder.delay(streaming, 2, 1);
+  }
+
+  /// Next-state logic LOAD -> [COMPUTE ->] DRAIN -> LOAD and the output
+  /// ports; finalizes the component. `compute_done` is ignored without a
+  /// COMPUTE phase.
+  Netlist finish(NetId load_done, NetId compute_done, NetId drain_done) {
+    NetlistBuilder& b = builder;
+    const bool computes = is_compute != kInvalidNet;
+    NetId next = state_.q;
+    const NetId loaded = b.and2(is_load, load_done);
+    next = b.mux2(next, b.constant(computes ? kStCompute : kStDrain, 2), loaded, 2);
+    if (computes) next = b.mux2(next, b.constant(kStDrain, 2), compute_done, 2);
+    const NetId drained = b.and2(is_drain, drain_done);
+    next = b.mux2(next, b.constant(kStLoad, 2), drained, 2);
+    b.close(state_, next, b.one());
+
+    if (source_ == Source::kStream) b.out_port("in_ready", is_load);
+    b.out_port("out_data", out_data_);
+    b.out_port("out_valid", out_valid_);
+    return std::move(b).take();
+  }
+
+ private:
+  Source source_;
+  NetId out_ready_ = kInvalidNet;
+  NetlistBuilder::Reg state_;
+  NetlistBuilder::Reg done_latch_;
+  NetId out_data_ = kInvalidNet;
+  NetId out_valid_ = kInvalidNet;
 };
 
-StateReg make_state_reg(NetlistBuilder& b) {
-  Cell cell;
-  cell.type = CellType::kFf;
-  cell.width = 2;
-  cell.name = "fsm_state";
-  StateReg s;
-  s.reg = b.netlist().add_cell(std::move(cell));
-  s.value = b.netlist().add_net(2, "state");
-  b.netlist().connect_output(s.reg, 0, s.value);
-  return s;
-}
-
-void finish_state_reg(NetlistBuilder& b, const StateReg& s, NetId next) {
-  b.netlist().connect_input(s.reg, 0, next);
-  b.netlist().connect_input(s.reg, 1, b.one());
+/// Window accumulator of the conv, dwconv and avgpool engines:
+/// acc <- (first ? 0 : acc) + term on every enabled cycle. Returns the
+/// next value, which is the window sum on the cycle of its last term.
+NetId window_accum(NetlistBuilder& b, NetId term, NetId first, NetId enable,
+                   std::uint16_t width, std::string name) {
+  const NetlistBuilder::Reg acc = b.reg(width, std::move(name));
+  const NetId base = b.mux2(acc.q, b.zero(width), first, width);
+  const NetId next = b.add(base, term, width);
+  b.close(acc, next, enable);
+  return next;
 }
 
 std::vector<std::uint64_t> to_rom_words(const std::vector<Fixed16>& values) {
@@ -63,18 +144,11 @@ Netlist make_conv_component(const ConvParams& p, const std::vector<Fixed16>& wei
   const int ocg_n = p.out_c / p.oc_par;
   const int lat = 1 + p.dsp_stages;  // BRAM read + DSP pipeline
 
-  NetlistBuilder b(p.name);
-  const NetId in_data = b.in_port("in_data", kDataW);
-  const NetId in_valid = b.in_port("in_valid", 1);
-  const NetId out_ready = b.in_port("out_ready", 1);
-
-  const StateReg st = make_state_reg(b);
-  const NetId is_load = b.eq(st.value, b.constant(kStLoad, 2));
-  const NetId is_compute = b.eq(st.value, b.constant(kStCompute, 2));
-  const NetId is_drain = b.eq(st.value, b.constant(kStDrain, 2));
+  Controller ctl(p.name, Source::kStream, Phases::kLoadComputeDrain);
+  NetlistBuilder& b = ctl.builder;
 
   // ---------------- source controller (LOAD) ----------------
-  const NetId wr = b.and2(is_load, in_valid);
+  const NetId wr = b.and2(ctl.is_load, ctl.in_valid);
   const auto pix = b.counter(static_cast<std::uint32_t>(H) * W, wr, kAddrW, "ld_pix");
   const auto lane = b.counter(static_cast<std::uint32_t>(p.ic_par), pix.wrap, 8, "ld_lane");
   const auto grp = b.counter(static_cast<std::uint32_t>(icg_n), lane.wrap, 8, "ld_grp");
@@ -84,18 +158,8 @@ Netlist make_conv_component(const ConvParams& p, const std::vector<Fixed16>& wei
   const NetId load_done = grp.wrap;
 
   // ---------------- compute counters ----------------
-  // The sweep freezes once the last term has issued (done_latch): the
-  // MAC pipeline needs `lat` flush cycles before DRAIN, and the counters
-  // must re-enter COMPUTE at zero for the next image.
-  Cell done_cell;
-  done_cell.type = CellType::kFf;
-  done_cell.width = 1;
-  done_cell.name = "done_latch";
-  const CellId done_reg = b.netlist().add_cell(std::move(done_cell));
-  const NetId done_latch = b.netlist().add_net(1);
-  b.netlist().connect_output(done_reg, 0, done_latch);
-
-  const NetId sweeping = b.and2(is_compute, b.not1(done_latch));
+  // The MAC pipeline needs `lat` flush cycles after the sweep freezes.
+  const NetId sweeping = ctl.begin_sweep();
   const auto kx = b.counter(static_cast<std::uint32_t>(K), sweeping, 8, "kx");
   const auto ky = b.counter(static_cast<std::uint32_t>(K), kx.wrap, 8, "ky");
   const auto icg = b.counter(static_cast<std::uint32_t>(icg_n), ky.wrap, 8, "icg");
@@ -105,11 +169,11 @@ Netlist make_conv_component(const ConvParams& p, const std::vector<Fixed16>& wei
 
   const NetId complete = icg.wrap;      // one output-pixel accumulation done
   const NetId compute_done = ocg.wrap;  // whole layer done
-  b.netlist().connect_input(done_reg, 0,
-                            b.and2(is_compute, b.or2(done_latch, compute_done)));
-  b.netlist().connect_input(done_reg, 1, b.one());
-  const NetId first_term = b.and2(b.and2(b.eq(kx.value, b.zero(8)), b.eq(ky.value, b.zero(8))),
-                                  b.eq(icg.value, b.zero(8)));
+  ctl.end_sweep(compute_done);
+  const NetId icg_zero = b.eq(icg.value, b.zero(8));
+  const NetId ky_zero = b.eq(ky.value, b.zero(8));
+  const NetId kx_zero = b.eq(kx.value, b.zero(8));
+  const NetId first_term = b.and2(b.and2(kx_zero, ky_zero), icg_zero);
 
   // Input addressing: the MMU "jogging around the input data". LUT/carry
   // shift-add arithmetic; its logic depth grows with the feature-map
@@ -147,15 +211,15 @@ Netlist make_conv_component(const ConvParams& p, const std::vector<Fixed16>& wei
   for (int l = 0; l < p.ic_par; ++l) {
     const NetId we = b.and2(wr, lane_sel[static_cast<std::size_t>(l)]);
     x_lane[static_cast<std::size_t>(l)] =
-        b.bram(load_addr, in_data, we, static_cast<std::uint32_t>(icg_n) * H * W, kDataW, -1,
-               "ifm_bank" + std::to_string(l), in_addr);
+        b.bram(load_addr, ctl.in_data, we, static_cast<std::uint32_t>(icg_n) * H * W, kDataW,
+               -1, "ifm_bank" + std::to_string(l), in_addr);
   }
 
   // ---------------- compute units ----------------
-  const NetId term_valid_dl = b.delay(is_compute, lat, 1);
+  const NetId term_valid_dl = b.delay(ctl.is_compute, lat, 1);
   const NetId first_dl = b.delay(first_term, lat, 1);
-  const NetId complete_dl = b.delay(b.and2(complete, is_compute), lat, 1);
-  const NetId done_dl = b.delay(b.and2(compute_done, is_compute), lat, 1);
+  const NetId complete_dl = b.delay(b.and2(complete, ctl.is_compute), lat, 1);
+  const NetId done_dl = b.delay(b.and2(compute_done, ctl.is_compute), lat, 1);
   const NetId bias_addr = b.delay(ocg.value, lat - 1, 8);
 
   // Sink-side output index, shared across CU columns.
@@ -163,7 +227,7 @@ Netlist make_conv_component(const ConvParams& p, const std::vector<Fixed16>& wei
                                  kAddrW, "out_idx");
 
   // Drain counters (declared before the banks so the read address exists).
-  const NetId streaming = b.and2(is_drain, out_ready);
+  const NetId streaming = ctl.begin_drain();
   const auto opix = b.counter(static_cast<std::uint32_t>(Ho) * Wo, streaming, kAddrW, "opix");
   const auto olane = b.counter(static_cast<std::uint32_t>(p.oc_par), opix.wrap, 8, "olane");
   const auto ogrp = b.counter(static_cast<std::uint32_t>(ocg_n), olane.wrap, 8, "ogrp");
@@ -205,18 +269,8 @@ Netlist make_conv_component(const ConvParams& p, const std::vector<Fixed16>& wei
     }
     const NetId partial = b.adder_tree(products, kDataW);
 
-    // Accumulator: acc <- (first ? 0 : acc) + partial.
-    Cell acc_cell;
-    acc_cell.type = CellType::kFf;
-    acc_cell.width = kDataW;
-    acc_cell.name = "acc" + std::to_string(j);
-    const CellId acc_reg = b.netlist().add_cell(std::move(acc_cell));
-    const NetId acc = b.netlist().add_net(kDataW);
-    b.netlist().connect_output(acc_reg, 0, acc);
-    const NetId acc_base = b.mux2(acc, b.zero(kDataW), first_dl, kDataW);
-    const NetId acc_next = b.add(acc_base, partial, kDataW);
-    b.netlist().connect_input(acc_reg, 0, acc_next);
-    b.netlist().connect_input(acc_reg, 1, term_valid_dl);
+    const NetId acc_next =
+        window_accum(b, partial, first_dl, term_valid_dl, kDataW, "acc" + std::to_string(j));
 
     // Bias ROM per CU column.
     std::int32_t bias_rom = -1;
@@ -242,22 +296,8 @@ Netlist make_conv_component(const ConvParams& p, const std::vector<Fixed16>& wei
 
   // Output register at the stream boundary: breaks the BRAM->mux->wire
   // path before it leaves the component (interface timing, Sec. IV-A2).
-  const NetId out_data =
-      b.ff(b.muxn(bank_out, b.delay(olane.value, 1, 8), kDataW), kInvalidNet, kDataW, "ob_reg");
-  const NetId out_valid = b.delay(streaming, 2, 1);
-  const NetId drain_done = ogrp.wrap;
-
-  // ---------------- FSM ----------------
-  NetId next_state = st.value;
-  next_state = b.mux2(next_state, b.constant(kStCompute, 2), b.and2(is_load, load_done), 2);
-  next_state = b.mux2(next_state, b.constant(kStDrain, 2), done_dl, 2);
-  next_state = b.mux2(next_state, b.constant(kStLoad, 2), b.and2(is_drain, drain_done), 2);
-  finish_state_reg(b, st, next_state);
-
-  b.out_port("in_ready", is_load);
-  b.out_port("out_data", out_data);
-  b.out_port("out_valid", out_valid);
-  return std::move(b).take();
+  ctl.drain_output(b.muxn(bank_out, b.delay(olane.value, 1, 8), kDataW));
+  return ctl.finish(load_done, done_dl, ogrp.wrap);
 }
 
 Netlist make_fc_component(const std::string& name, int inputs, int outputs,
@@ -289,35 +329,19 @@ Netlist make_dwconv_component(const DwConvParams& p, const std::vector<Fixed16>&
   assert(weights.size() == static_cast<std::size_t>(C) * K * K);
   assert(bias.size() == static_cast<std::size_t>(C));
 
-  NetlistBuilder b(p.name);
-  const NetId in_data = b.in_port("in_data", kDataW);
-  const NetId in_valid = b.in_port("in_valid", 1);
-  const NetId out_ready = b.in_port("out_ready", 1);
-
-  const StateReg st = make_state_reg(b);
-  const NetId is_load = b.eq(st.value, b.constant(kStLoad, 2));
-  const NetId is_compute = b.eq(st.value, b.constant(kStCompute, 2));
-  const NetId is_drain = b.eq(st.value, b.constant(kStDrain, 2));
+  Controller ctl(p.name, Source::kStream, Phases::kLoadComputeDrain);
+  NetlistBuilder& b = ctl.builder;
 
   // Source controller (single bank: channels are processed sequentially).
-  const NetId wr = b.and2(is_load, in_valid);
+  const NetId wr = b.and2(ctl.is_load, ctl.in_valid);
   const auto pix = b.counter(static_cast<std::uint32_t>(H) * W, wr, kAddrW, "ld_pix");
   const auto ch = b.counter(static_cast<std::uint32_t>(C), pix.wrap, kAddrW, "ld_ch");
   const NetId load_addr =
       b.mul_const_add(ch.value, static_cast<std::uint64_t>(H) * W, pix.value, kAddrW);
   const NetId load_done = ch.wrap;
 
-  // Window sweep, pool-style counters but with a stride-decoupled window;
-  // the sweep freezes after the last term so the MAC pipeline can flush.
-  Cell done_cell;
-  done_cell.type = CellType::kFf;
-  done_cell.width = 1;
-  done_cell.name = "done_latch";
-  const CellId done_reg = b.netlist().add_cell(std::move(done_cell));
-  const NetId done_latch = b.netlist().add_net(1);
-  b.netlist().connect_output(done_reg, 0, done_latch);
-  const NetId sweeping = b.and2(is_compute, b.not1(done_latch));
-
+  // Window sweep, pool-style counters but with a stride-decoupled window.
+  const NetId sweeping = ctl.begin_sweep();
   const auto kx = b.counter(static_cast<std::uint32_t>(K), sweeping, 8, "kx");
   const auto ky = b.counter(static_cast<std::uint32_t>(K), kx.wrap, 8, "ky");
   const auto ox = b.counter(static_cast<std::uint32_t>(Wo), ky.wrap, kAddrW, "ox");
@@ -325,10 +349,10 @@ Netlist make_dwconv_component(const DwConvParams& p, const std::vector<Fixed16>&
   const auto c2 = b.counter(static_cast<std::uint32_t>(C), oy.wrap, kAddrW, "c2");
   const NetId complete = ky.wrap;      // one output-pixel accumulation done
   const NetId compute_done = c2.wrap;  // whole layer done
-  b.netlist().connect_input(done_reg, 0,
-                            b.and2(is_compute, b.or2(done_latch, compute_done)));
-  b.netlist().connect_input(done_reg, 1, b.one());
-  const NetId first = b.and2(b.eq(kx.value, b.zero(8)), b.eq(ky.value, b.zero(8)));
+  ctl.end_sweep(compute_done);
+  const NetId ky_zero = b.eq(ky.value, b.zero(8));
+  const NetId kx_zero = b.eq(kx.value, b.zero(8));
+  const NetId first = b.and2(kx_zero, ky_zero);
 
   const NetId iy =
       b.mul_const_add(oy.value, static_cast<std::uint64_t>(p.stride), ky.value, kAddrW);
@@ -337,7 +361,7 @@ Netlist make_dwconv_component(const DwConvParams& p, const std::vector<Fixed16>&
   const NetId row = b.mul_const_add(iy, static_cast<std::uint64_t>(W), ix, kAddrW);
   const NetId rd_addr =
       b.mul_const_add(c2.value, static_cast<std::uint64_t>(H) * W, row, kAddrW);
-  const NetId ifm = b.bram(load_addr, in_data, wr, static_cast<std::uint32_t>(C) * H * W,
+  const NetId ifm = b.bram(load_addr, ctl.in_data, wr, static_cast<std::uint32_t>(C) * H * W,
                            kDataW, -1, "ifm", rd_addr);
 
   // One weight ROM and one DSP MAC, shared by every channel.
@@ -349,25 +373,13 @@ Netlist make_dwconv_component(const DwConvParams& p, const std::vector<Fixed16>&
   const NetId product =
       b.dsp(w_net, ifm, kInvalidNet, kFixedFrac, p.dsp_stages, kDataW, "mac");
 
-  const NetId term_valid_dl = b.delay(is_compute, lat, 1);
+  const NetId term_valid_dl = b.delay(ctl.is_compute, lat, 1);
   const NetId first_dl = b.delay(first, lat, 1);
-  const NetId complete_dl = b.delay(b.and2(complete, is_compute), lat, 1);
-  const NetId done_dl = b.delay(b.and2(compute_done, is_compute), lat, 1);
+  const NetId complete_dl = b.delay(b.and2(complete, ctl.is_compute), lat, 1);
+  const NetId done_dl = b.delay(b.and2(compute_done, ctl.is_compute), lat, 1);
   const NetId bias_addr = b.delay(c2.value, lat - 1, kAddrW);
 
-  // Accumulator: acc <- (first ? 0 : acc) + product (the conv-engine idiom).
-  Cell acc_cell;
-  acc_cell.type = CellType::kFf;
-  acc_cell.width = kDataW;
-  acc_cell.name = "acc";
-  const CellId acc_reg = b.netlist().add_cell(std::move(acc_cell));
-  const NetId acc = b.netlist().add_net(kDataW);
-  b.netlist().connect_output(acc_reg, 0, acc);
-  const NetId acc_base = b.mux2(acc, b.zero(kDataW), first_dl, kDataW);
-  const NetId acc_next = b.add(acc_base, product, kDataW);
-  b.netlist().connect_input(acc_reg, 0, acc_next);
-  b.netlist().connect_input(acc_reg, 1, term_valid_dl);
-
+  const NetId acc_next = window_accum(b, product, first_dl, term_valid_dl, kDataW, "acc");
   const NetId bias_net = b.bram(bias_addr, kInvalidNet, kInvalidNet,
                                 static_cast<std::uint32_t>(C), kDataW,
                                 b.rom(to_rom_words(bias)), "brom");
@@ -377,26 +389,13 @@ Netlist make_dwconv_component(const DwConvParams& p, const std::vector<Fixed16>&
   // Sink controller (single bank, pool-style drain).
   const auto out_idx =
       b.counter(static_cast<std::uint32_t>(C) * Ho * Wo, complete_dl, kAddrW, "out_idx");
-  const NetId streaming = b.and2(is_drain, out_ready);
+  const NetId streaming = ctl.begin_drain();
   const auto opix =
       b.counter(static_cast<std::uint32_t>(C) * Ho * Wo, streaming, kAddrW, "opix");
-  const NetId ofm = b.bram(out_idx.value, result, complete_dl,
-                           static_cast<std::uint32_t>(C) * Ho * Wo, kDataW, -1, "ofm",
-                           opix.value);
-  const NetId out_data = b.ff(ofm, kInvalidNet, kDataW, "ob_reg");
-  const NetId out_valid = b.delay(streaming, 2, 1);
-  const NetId drain_done = opix.wrap;
-
-  NetId next_state = st.value;
-  next_state = b.mux2(next_state, b.constant(kStCompute, 2), b.and2(is_load, load_done), 2);
-  next_state = b.mux2(next_state, b.constant(kStDrain, 2), done_dl, 2);
-  next_state = b.mux2(next_state, b.constant(kStLoad, 2), b.and2(is_drain, drain_done), 2);
-  finish_state_reg(b, st, next_state);
-
-  b.out_port("in_ready", is_load);
-  b.out_port("out_data", out_data);
-  b.out_port("out_valid", out_valid);
-  return std::move(b).take();
+  ctl.drain_output(b.bram(out_idx.value, result, complete_dl,
+                          static_cast<std::uint32_t>(C) * Ho * Wo, kDataW, -1, "ofm",
+                          opix.value));
+  return ctl.finish(load_done, done_dl, opix.wrap);
 }
 
 Netlist make_avgpool_component(const AvgPoolParams& p) {
@@ -417,33 +416,18 @@ Netlist make_avgpool_component(const AvgPoolParams& p) {
   // boundary, so the window sum is exact (no wrap, no clamp).
   constexpr std::uint16_t kAccW = 24;
 
-  NetlistBuilder b(p.name);
-  const NetId in_data = b.in_port("in_data", kDataW);
-  const NetId in_valid = b.in_port("in_valid", 1);
-  const NetId out_ready = b.in_port("out_ready", 1);
-
-  const StateReg st = make_state_reg(b);
-  const NetId is_load = b.eq(st.value, b.constant(kStLoad, 2));
-  const NetId is_compute = b.eq(st.value, b.constant(kStCompute, 2));
-  const NetId is_drain = b.eq(st.value, b.constant(kStDrain, 2));
+  Controller ctl(p.name, Source::kStream, Phases::kLoadComputeDrain);
+  NetlistBuilder& b = ctl.builder;
 
   // Source controller (the max-pool engine's, verbatim).
-  const NetId wr = b.and2(is_load, in_valid);
+  const NetId wr = b.and2(ctl.is_load, ctl.in_valid);
   const auto pix = b.counter(static_cast<std::uint32_t>(H) * W, wr, kAddrW, "ld_pix");
   const auto ch = b.counter(static_cast<std::uint32_t>(C), pix.wrap, kAddrW, "ld_ch");
   const NetId load_addr =
       b.mul_const_add(ch.value, static_cast<std::uint64_t>(H) * W, pix.value, kAddrW);
   const NetId load_done = ch.wrap;
 
-  Cell done_cell;
-  done_cell.type = CellType::kFf;
-  done_cell.width = 1;
-  done_cell.name = "done_latch";
-  const CellId done_reg = b.netlist().add_cell(std::move(done_cell));
-  const NetId done_latch = b.netlist().add_net(1);
-  b.netlist().connect_output(done_reg, 0, done_latch);
-  const NetId sweeping = b.and2(is_compute, b.not1(done_latch));
-
+  const NetId sweeping = ctl.begin_sweep();
   const auto kx = b.counter(static_cast<std::uint32_t>(Kw), sweeping, 8, "kx");
   const auto ky = b.counter(static_cast<std::uint32_t>(Kh), kx.wrap, 8, "ky");
   const auto ox = b.counter(static_cast<std::uint32_t>(Wo), ky.wrap, kAddrW, "ox");
@@ -451,43 +435,33 @@ Netlist make_avgpool_component(const AvgPoolParams& p) {
   const auto c2 = b.counter(static_cast<std::uint32_t>(C), oy.wrap, kAddrW, "c2");
   const NetId complete = ky.wrap;
   const NetId compute_done = c2.wrap;
-  b.netlist().connect_input(done_reg, 0,
-                            b.and2(is_compute, b.or2(done_latch, compute_done)));
-  b.netlist().connect_input(done_reg, 1, b.one());
-  const NetId first = b.and2(b.eq(kx.value, b.zero(8)), b.eq(ky.value, b.zero(8)));
+  ctl.end_sweep(compute_done);
+  const NetId ky_zero = b.eq(ky.value, b.zero(8));
+  const NetId kx_zero = b.eq(kx.value, b.zero(8));
+  const NetId first = b.and2(kx_zero, ky_zero);
 
   const NetId iy = b.mul_const_add(oy.value, static_cast<std::uint64_t>(Kh), ky.value, kAddrW);
   const NetId ix = b.mul_const_add(ox.value, static_cast<std::uint64_t>(Kw), kx.value, kAddrW);
   const NetId row = b.mul_const_add(iy, static_cast<std::uint64_t>(W), ix, kAddrW);
   const NetId rd_addr =
       b.mul_const_add(c2.value, static_cast<std::uint64_t>(H) * W, row, kAddrW);
-  const NetId ifm = b.bram(load_addr, in_data, wr, static_cast<std::uint32_t>(C) * H * W,
+  const NetId ifm = b.bram(load_addr, ctl.in_data, wr, static_cast<std::uint32_t>(C) * H * W,
                            kDataW, -1, "ifm", rd_addr);
 
   // Window accumulator. Reading a 16-bit net into a 24-bit cell zero-pads,
   // so negative Q8.8 samples need an explicit sign-extension gadget before
   // they enter the adder.
   const NetId first_d1 = b.delay(first, 1, 1);
-  const NetId complete_d1 = b.delay(b.and2(complete, is_compute), 1, 1);
-  const NetId done_d1 = b.delay(b.and2(compute_done, is_compute), 1, 1);
-  const NetId en_d1 = b.delay(is_compute, 1, 1);
+  const NetId complete_d1 = b.delay(b.and2(complete, ctl.is_compute), 1, 1);
+  const NetId done_d1 = b.delay(b.and2(compute_done, ctl.is_compute), 1, 1);
+  const NetId en_d1 = b.delay(ctl.is_compute, 1, 1);
 
   const NetId zext = b.op2(LutOp::kPass, ifm, ifm, kAccW);
   const NetId hi_mask = b.constant(0xFF0000, kAccW);
-  const NetId ext = b.mux2(zext, b.op2(LutOp::kOr, zext, hi_mask, kAccW),
-                           b.bit(ifm, kDataW - 1), kAccW, "sext");
-
-  Cell acc_cell;
-  acc_cell.type = CellType::kFf;
-  acc_cell.width = kAccW;
-  acc_cell.name = "acc";
-  const CellId acc_reg = b.netlist().add_cell(std::move(acc_cell));
-  const NetId acc = b.netlist().add_net(kAccW);
-  b.netlist().connect_output(acc_reg, 0, acc);
-  const NetId acc_base = b.mux2(acc, b.zero(kAccW), first_d1, kAccW);
-  const NetId acc_next = b.add(acc_base, ext, kAccW);
-  b.netlist().connect_input(acc_reg, 0, acc_next);
-  b.netlist().connect_input(acc_reg, 1, en_d1);
+  const NetId negative = b.bit(ifm, kDataW - 1);
+  const NetId sext = b.op2(LutOp::kOr, zext, hi_mask, kAccW);
+  const NetId ext = b.mux2(zext, sext, negative, kAccW, "sext");
+  const NetId acc_next = window_accum(b, ext, first_d1, en_d1, kAccW, "acc");
 
   // Divide by the window size: floor via an arithmetic-shift DSP (b == 1,
   // shift == log2(count)), then adjust the floor quotient to
@@ -501,10 +475,11 @@ Netlist make_avgpool_component(const AvgPoolParams& p) {
                             b.constant((1ULL << shift) - 1, kAccW), kAccW);
     const NetId half = b.constant(1ULL << (shift - 1), kAccW);
     const NetId above = b.ltu(half, rem);
-    const NetId tie = b.and2(b.eq(rem, half), b.bit(q0, 0));
-    const NetId bump = b.mux2(b.zero(kAccW), b.constant(1, kAccW),
-                              b.or2(above, tie), kAccW);
-    quotient = b.add(q0, bump, kAccW);
+    const NetId q0_odd = b.bit(q0, 0);
+    const NetId tie = b.and2(b.eq(rem, half), q0_odd);
+    const NetId round_up = b.or2(above, tie);
+    const NetId one = b.constant(1, kAccW);
+    quotient = b.add(q0, b.mux2(b.zero(kAccW), one, round_up, kAccW), kAccW);
   }
   // The mean of Q8.8 samples is in Q8.8 range, so the low 16 bits are the
   // exact result.
@@ -514,26 +489,13 @@ Netlist make_avgpool_component(const AvgPoolParams& p) {
   // Sink controller (the max-pool engine's, verbatim).
   const auto out_idx =
       b.counter(static_cast<std::uint32_t>(C) * Ho * Wo, complete_d1, kAddrW, "out_idx");
-  const NetId streaming = b.and2(is_drain, out_ready);
+  const NetId streaming = ctl.begin_drain();
   const auto opix =
       b.counter(static_cast<std::uint32_t>(C) * Ho * Wo, streaming, kAddrW, "opix");
-  const NetId ofm = b.bram(out_idx.value, result, complete_d1,
-                           static_cast<std::uint32_t>(C) * Ho * Wo, kDataW, -1, "ofm",
-                           opix.value);
-  const NetId out_data = b.ff(ofm, kInvalidNet, kDataW, "ob_reg");
-  const NetId out_valid = b.delay(streaming, 2, 1);
-  const NetId drain_done = opix.wrap;
-
-  NetId next_state = st.value;
-  next_state = b.mux2(next_state, b.constant(kStCompute, 2), b.and2(is_load, load_done), 2);
-  next_state = b.mux2(next_state, b.constant(kStDrain, 2), done_d1, 2);
-  next_state = b.mux2(next_state, b.constant(kStLoad, 2), b.and2(is_drain, drain_done), 2);
-  finish_state_reg(b, st, next_state);
-
-  b.out_port("in_ready", is_load);
-  b.out_port("out_data", out_data);
-  b.out_port("out_valid", out_valid);
-  return std::move(b).take();
+  ctl.drain_output(b.bram(out_idx.value, result, complete_d1,
+                          static_cast<std::uint32_t>(C) * Ho * Wo, kDataW, -1, "ofm",
+                          opix.value));
+  return ctl.finish(load_done, done_d1, opix.wrap);
 }
 
 Netlist make_upsample_component(const std::string& name, int channels, int in_h, int in_w,
@@ -541,26 +503,19 @@ Netlist make_upsample_component(const std::string& name, int channels, int in_h,
   if (factor <= 0) throw std::invalid_argument("upsample: factor must be positive");
   const int C = channels, H = in_h, W = in_w, F = factor;
 
-  NetlistBuilder b(name);
-  const NetId in_data = b.in_port("in_data", kDataW);
-  const NetId in_valid = b.in_port("in_valid", 1);
-  const NetId out_ready = b.in_port("out_ready", 1);
+  // LOAD -> DRAIN store-and-forward: the drain replays each pixel F times
+  // per output row and each source row F times.
+  Controller ctl(name, Source::kStream, Phases::kLoadDrain);
+  NetlistBuilder& b = ctl.builder;
 
-  // LOAD -> DRAIN store-and-forward (the MMU template): the drain replays
-  // each pixel F times per output row and each source row F times.
-  const StateReg st = make_state_reg(b);
-  const NetId is_load = b.eq(st.value, b.constant(kStLoad, 2));
-  const NetId is_drain = b.eq(st.value, b.constant(kStDrain, 2));
-
-  const NetId wr = b.and2(is_load, in_valid);
+  const NetId wr = b.and2(ctl.is_load, ctl.in_valid);
   const auto wpix =
       b.counter(static_cast<std::uint32_t>(C) * H * W, wr, kAddrW, "wpix");
-  const NetId load_done = wpix.wrap;
 
   // Output raster (c, y, x) with y = yb*F + ys, x = xb*F + xs: the x
   // replica is the fastest digit, then the source column, the y replica,
   // the source row, and the channel.
-  const NetId streaming = b.and2(is_drain, out_ready);
+  const NetId streaming = ctl.begin_drain();
   const auto xs = b.counter(static_cast<std::uint32_t>(F), streaming, 8, "xs");
   const auto xb = b.counter(static_cast<std::uint32_t>(W), xs.wrap, kAddrW, "xb");
   const auto ys = b.counter(static_cast<std::uint32_t>(F), xb.wrap, 8, "ys");
@@ -570,58 +525,31 @@ Netlist make_upsample_component(const std::string& name, int channels, int in_h,
   const NetId raddr =
       b.mul_const_add(c2.value, static_cast<std::uint64_t>(H) * W, row, kAddrW);
 
-  const NetId buf = b.bram(wpix.value, in_data, wr, static_cast<std::uint32_t>(C) * H * W,
-                           kDataW, -1, "buf", raddr);
-  NetId result = buf;
+  NetId result = b.bram(wpix.value, ctl.in_data, wr, static_cast<std::uint32_t>(C) * H * W,
+                        kDataW, -1, "buf", raddr);
   if (fuse_relu) result = b.relu(result, kDataW);
-  const NetId out_data = b.ff(result, kInvalidNet, kDataW, "ob_reg");
-  const NetId drain_done = c2.wrap;
-
-  NetId next_state = st.value;
-  next_state = b.mux2(next_state, b.constant(kStDrain, 2), b.and2(is_load, load_done), 2);
-  next_state = b.mux2(next_state, b.constant(kStLoad, 2), b.and2(is_drain, drain_done), 2);
-  finish_state_reg(b, st, next_state);
-
-  b.out_port("in_ready", is_load);
-  b.out_port("out_data", out_data);
-  b.out_port("out_valid", b.delay(streaming, 2, 1));
-  return std::move(b).take();
+  ctl.drain_output(result);
+  return ctl.finish(wpix.wrap, kInvalidNet, c2.wrap);
 }
 
 Netlist make_pool_component(const PoolParams& p) {
   const int K = p.kernel, H = p.in_h, W = p.in_w, Ho = p.out_h(), Wo = p.out_w();
   const int C = p.channels;
 
-  NetlistBuilder b(p.name);
-  const NetId in_data = b.in_port("in_data", kDataW);
-  const NetId in_valid = b.in_port("in_valid", 1);
-  const NetId out_ready = b.in_port("out_ready", 1);
-
-  const StateReg st = make_state_reg(b);
-  const NetId is_load = b.eq(st.value, b.constant(kStLoad, 2));
-  const NetId is_compute = b.eq(st.value, b.constant(kStCompute, 2));
-  const NetId is_drain = b.eq(st.value, b.constant(kStDrain, 2));
+  Controller ctl(p.name, Source::kStream, Phases::kLoadComputeDrain);
+  NetlistBuilder& b = ctl.builder;
 
   // Source controller.
-  const NetId wr = b.and2(is_load, in_valid);
+  const NetId wr = b.and2(ctl.is_load, ctl.in_valid);
   const auto pix = b.counter(static_cast<std::uint32_t>(H) * W, wr, kAddrW, "ld_pix");
   const auto ch = b.counter(static_cast<std::uint32_t>(C), pix.wrap, kAddrW, "ld_ch");
   const NetId load_addr =
       b.mul_const_add(ch.value, static_cast<std::uint64_t>(H) * W, pix.value, kAddrW);
   const NetId load_done = ch.wrap;
 
-  // Controller sweep: kx, ky within the window; ox, oy, c over outputs.
-  // As in the conv engine, the sweep freezes after the last window so the
-  // counters re-enter COMPUTE at zero (the BRAM pipeline flushes 1 cycle).
-  Cell done_cell;
-  done_cell.type = CellType::kFf;
-  done_cell.width = 1;
-  done_cell.name = "done_latch";
-  const CellId done_reg = b.netlist().add_cell(std::move(done_cell));
-  const NetId done_latch = b.netlist().add_net(1);
-  b.netlist().connect_output(done_reg, 0, done_latch);
-  const NetId sweeping = b.and2(is_compute, b.not1(done_latch));
-
+  // Controller sweep: kx, ky within the window; ox, oy, c over outputs
+  // (the BRAM pipeline flushes 1 cycle after the sweep freezes).
+  const NetId sweeping = ctl.begin_sweep();
   const auto kx = b.counter(static_cast<std::uint32_t>(K), sweeping, 8, "kx");
   const auto ky = b.counter(static_cast<std::uint32_t>(K), kx.wrap, 8, "ky");
   const auto ox = b.counter(static_cast<std::uint32_t>(Wo), ky.wrap, kAddrW, "ox");
@@ -629,10 +557,10 @@ Netlist make_pool_component(const PoolParams& p) {
   const auto c2 = b.counter(static_cast<std::uint32_t>(C), oy.wrap, kAddrW, "c2");
   const NetId complete = ky.wrap;
   const NetId compute_done = c2.wrap;
-  b.netlist().connect_input(done_reg, 0,
-                            b.and2(is_compute, b.or2(done_latch, compute_done)));
-  b.netlist().connect_input(done_reg, 1, b.one());
-  const NetId first = b.and2(b.eq(kx.value, b.zero(8)), b.eq(ky.value, b.zero(8)));
+  ctl.end_sweep(compute_done);
+  const NetId ky_zero = b.eq(ky.value, b.zero(8));
+  const NetId kx_zero = b.eq(kx.value, b.zero(8));
+  const NetId first = b.and2(kx_zero, ky_zero);
 
   const NetId iy = b.mul_const_add(oy.value, static_cast<std::uint64_t>(K), ky.value, kAddrW);
   const NetId ix = b.mul_const_add(ox.value, static_cast<std::uint64_t>(K), kx.value, kAddrW);
@@ -640,25 +568,18 @@ Netlist make_pool_component(const PoolParams& p) {
   const NetId rd_addr =
       b.mul_const_add(c2.value, static_cast<std::uint64_t>(H) * W, row, kAddrW);
 
-  const NetId ifm = b.bram(load_addr, in_data, wr, static_cast<std::uint32_t>(C) * H * W,
+  const NetId ifm = b.bram(load_addr, ctl.in_data, wr, static_cast<std::uint32_t>(C) * H * W,
                            kDataW, -1, "ifm", rd_addr);
 
   // Comparator + shift register (Fig. 4c): running max over the window.
   const NetId first_d1 = b.delay(first, 1, 1);
-  const NetId complete_d1 = b.delay(b.and2(complete, is_compute), 1, 1);
-  const NetId done_d1 = b.delay(b.and2(compute_done, is_compute), 1, 1);
-  const NetId en_d1 = b.delay(is_compute, 1, 1);
+  const NetId complete_d1 = b.delay(b.and2(complete, ctl.is_compute), 1, 1);
+  const NetId done_d1 = b.delay(b.and2(compute_done, ctl.is_compute), 1, 1);
+  const NetId en_d1 = b.delay(ctl.is_compute, 1, 1);
 
-  Cell max_cell;
-  max_cell.type = CellType::kFf;
-  max_cell.width = kDataW;
-  max_cell.name = "maxreg";
-  const CellId max_reg = b.netlist().add_cell(std::move(max_cell));
-  const NetId max_val = b.netlist().add_net(kDataW);
-  b.netlist().connect_output(max_reg, 0, max_val);
-  const NetId max_next = b.mux2(b.smax(max_val, ifm, kDataW), ifm, first_d1, kDataW);
-  b.netlist().connect_input(max_reg, 0, max_next);
-  b.netlist().connect_input(max_reg, 1, en_d1);
+  const NetlistBuilder::Reg max_reg = b.reg(kDataW, "maxreg");
+  const NetId max_next = b.mux2(b.smax(max_reg.q, ifm, kDataW), ifm, first_d1, kDataW);
+  b.close(max_reg, max_next, en_d1);
 
   NetId result = max_next;
   if (p.fuse_relu) result = b.relu(result, kDataW);
@@ -666,26 +587,13 @@ Netlist make_pool_component(const PoolParams& p) {
   // Sink controller.
   const auto out_idx =
       b.counter(static_cast<std::uint32_t>(C) * Ho * Wo, complete_d1, kAddrW, "out_idx");
-  const NetId streaming = b.and2(is_drain, out_ready);
+  const NetId streaming = ctl.begin_drain();
   const auto opix =
       b.counter(static_cast<std::uint32_t>(C) * Ho * Wo, streaming, kAddrW, "opix");
-  const NetId ofm = b.bram(out_idx.value, result, complete_d1,
-                           static_cast<std::uint32_t>(C) * Ho * Wo, kDataW, -1, "ofm",
-                           opix.value);
-  const NetId out_data = b.ff(ofm, kInvalidNet, kDataW, "ob_reg");
-  const NetId out_valid = b.delay(streaming, 2, 1);
-  const NetId drain_done = opix.wrap;
-
-  NetId next_state = st.value;
-  next_state = b.mux2(next_state, b.constant(kStCompute, 2), b.and2(is_load, load_done), 2);
-  next_state = b.mux2(next_state, b.constant(kStDrain, 2), done_d1, 2);
-  next_state = b.mux2(next_state, b.constant(kStLoad, 2), b.and2(is_drain, drain_done), 2);
-  finish_state_reg(b, st, next_state);
-
-  b.out_port("in_ready", is_load);
-  b.out_port("out_data", out_data);
-  b.out_port("out_valid", out_valid);
-  return std::move(b).take();
+  ctl.drain_output(b.bram(out_idx.value, result, complete_d1,
+                          static_cast<std::uint32_t>(C) * Ho * Wo, kDataW, -1, "ofm",
+                          opix.value));
+  return ctl.finish(load_done, done_d1, opix.wrap);
 }
 
 Netlist make_relu_component(const std::string& name, int width) {
@@ -709,26 +617,20 @@ Netlist make_stream_fifo(const std::string& name, int depth, int width) {
 
   // Register-file FIFO with combinational read (single-source single-sink
   // unbounded-in-spirit queue from Sec. IV-B1; depth bounds it physically).
-  Cell cnt_cell;
-  cnt_cell.type = CellType::kFf;
-  cnt_cell.width = 8;
-  cnt_cell.name = "count";
-  const CellId cnt_reg = b.netlist().add_cell(std::move(cnt_cell));
-  const NetId count = b.netlist().add_net(8);
-  b.netlist().connect_output(cnt_reg, 0, count);
-
-  const NetId empty = b.eq(count, b.zero(8));
-  const NetId full = b.eq(count, b.constant(static_cast<std::uint64_t>(depth), 8));
+  const NetlistBuilder::Reg count = b.reg(8, "count");
+  const NetId empty = b.eq(count.q, b.zero(8));
+  const NetId full = b.eq(count.q, b.constant(static_cast<std::uint64_t>(depth), 8));
   const NetId in_ready = b.not1(full);
   const NetId out_valid = b.not1(empty);
   const NetId push = b.and2(in_valid, in_ready);
   const NetId pop = b.and2(out_ready, out_valid);
 
-  const NetId inc = b.mux2(b.zero(8), b.constant(1, 8), push, 8);
-  const NetId dec = b.mux2(b.zero(8), b.constant(1, 8), pop, 8);
-  const NetId next_count = b.sub(b.add(count, inc, 8), dec, 8);
-  b.netlist().connect_input(cnt_reg, 0, next_count);
-  b.netlist().connect_input(cnt_reg, 1, b.one());
+  const NetId push_one = b.constant(1, 8);
+  const NetId inc = b.mux2(b.zero(8), push_one, push, 8);
+  const NetId pop_one = b.constant(1, 8);
+  const NetId dec = b.mux2(b.zero(8), pop_one, pop, 8);
+  const NetId next_count = b.sub(b.add(count.q, inc, 8), dec, 8);
+  b.close(count, next_count, b.one());
 
   const auto wptr = b.counter(static_cast<std::uint32_t>(depth), push, 8, "wptr");
   const auto rptr = b.counter(static_cast<std::uint32_t>(depth), pop, 8, "rptr");
@@ -741,38 +643,6 @@ Netlist make_stream_fifo(const std::string& name, int depth, int width) {
   b.out_port("out_data", b.muxn(slots, rptr.value, w));
   b.out_port("out_valid", out_valid);
   b.out_port("in_ready", in_ready);
-  return std::move(b).take();
-}
-
-Netlist make_input_streamer(const std::string& name, const std::vector<Fixed16>& image) {
-  NetlistBuilder b(name);
-  const NetId out_ready = b.in_port("out_ready", 1);
-  const std::uint32_t n = static_cast<std::uint32_t>(image.size());
-
-  // Valid goes (and stays) high one cycle in; the ROM is addressed with the
-  // *next* index on transfer so out_data is always the word at the current
-  // index (first-word-fall-through prefetch).
-  const NetId vld = b.ff(b.one(), b.one(), 1, "vld");
-  const NetId transfer = b.and2(out_ready, vld);
-
-  Cell idx_cell;
-  idx_cell.type = CellType::kFf;
-  idx_cell.width = kAddrW;
-  idx_cell.name = "idx";
-  const CellId idx_reg = b.netlist().add_cell(std::move(idx_cell));
-  const NetId idx = b.netlist().add_net(kAddrW);
-  b.netlist().connect_output(idx_reg, 0, idx);
-  const NetId at_top = b.eq(idx, b.constant(n - 1, kAddrW));
-  const NetId idx_next = b.mux2(b.add(idx, b.constant(1, kAddrW), kAddrW), b.zero(kAddrW),
-                                at_top, kAddrW);
-  b.netlist().connect_input(idx_reg, 0, idx_next);
-  b.netlist().connect_input(idx_reg, 1, transfer);
-
-  const NetId addr = b.mux2(idx, idx_next, transfer, kAddrW);
-  const std::int32_t rom_id = b.rom(to_rom_words(image));
-  const NetId data = b.bram(addr, kInvalidNet, kInvalidNet, n, kDataW, rom_id, "img_rom");
-  b.out_port("out_data", data);
-  b.out_port("out_valid", vld);
   return std::move(b).take();
 }
 
@@ -800,25 +670,17 @@ JoinPort make_join_port(NetlistBuilder& b, int k, int volume, NetId is_load,
   const NetId in_data = b.in_port(stream_port_name("in", k, "data"), kDataW);
   const NetId in_valid = b.in_port(stream_port_name("in", k, "valid"), 1);
 
-  Cell done_cell;
-  done_cell.type = CellType::kFf;
-  done_cell.width = 1;
-  done_cell.name = "ld_done" + std::to_string(k);
-  const CellId done_reg = b.netlist().add_cell(std::move(done_cell));
-  const NetId done_latch = b.netlist().add_net(1);
-  b.netlist().connect_output(done_reg, 0, done_latch);
-
-  const NetId accept = b.and2(is_load, b.not1(done_latch));
+  const NetlistBuilder::Reg done = b.reg(1, "ld_done" + std::to_string(k));
+  const NetId accept = b.and2(is_load, b.not1(done.q));
   const NetId wr = b.and2(accept, in_valid);
   const auto pix = b.counter(static_cast<std::uint32_t>(volume), wr, kAddrW,
                              "ld_pix" + std::to_string(k));
-  b.netlist().connect_input(done_reg, 0,
-                            b.and2(is_load, b.or2(done_latch, pix.wrap)));
-  b.netlist().connect_input(done_reg, 1, b.one());
+  const NetId held = b.and2(is_load, b.or2(done.q, pix.wrap));
+  b.close(done, held, b.one());
 
   port.buf = b.bram(pix.value, in_data, wr, static_cast<std::uint32_t>(volume), kDataW,
                     -1, "buf" + std::to_string(k), raddr);
-  port.done = b.or2(done_latch, pix.wrap);
+  port.done = b.or2(done.q, pix.wrap);
   b.out_port(stream_port_name("in", k, "ready"), accept);
   return port;
 }
@@ -827,57 +689,37 @@ JoinPort make_join_port(NetlistBuilder& b, int k, int volume, NetId is_load,
 
 Netlist make_add_component(const std::string& name, int volume, int n_inputs,
                            bool fuse_relu) {
-  NetlistBuilder b(name);
-  const NetId out_ready = b.in_port("out_ready", 1);
-
-  const StateReg st = make_state_reg(b);
-  const NetId is_load = b.eq(st.value, b.constant(kStLoad, 2));
-  const NetId is_drain = b.eq(st.value, b.constant(kStDrain, 2));
+  Controller ctl(name, Source::kJoin, Phases::kLoadDrain);
+  NetlistBuilder& b = ctl.builder;
 
   // Sink controller first: the shared read address feeds every bank.
-  const NetId streaming = b.and2(is_drain, out_ready);
+  const NetId streaming = ctl.begin_drain();
   const auto rpix = b.counter(static_cast<std::uint32_t>(volume), streaming, kAddrW, "rpix");
 
   NetId load_done = kInvalidNet;
   NetId sum = kInvalidNet;
   const NetId one_q88 = b.constant(256, kDataW);  // 1.0 in Q8.8
   for (int k = 0; k < n_inputs; ++k) {
-    const JoinPort port = make_join_port(b, k, volume, is_load, rpix.value);
+    const JoinPort port = make_join_port(b, k, volume, ctl.is_load, rpix.value);
     load_done = k == 0 ? port.done : b.and2(load_done, port.done);
     // Saturating fold, matching golden_add: acc = sat(buf_k + acc). A
     // stage-0 DSP computes clamp(clamp((a*b)>>8) + c) = sat(a + c) for
     // b == 1.0, so every partial sum saturates exactly like Fixed16::+.
     sum = k == 0 ? port.buf : b.dsp(port.buf, one_q88, sum, 8, 0, kDataW);
   }
-  NetId result = sum;
-  if (fuse_relu) result = b.relu(result, kDataW);
-
-  const NetId out_data = b.ff(result, kInvalidNet, kDataW, "ob_reg");
-  const NetId out_valid = b.delay(streaming, 2, 1);
-  const NetId drain_done = rpix.wrap;
-
-  NetId next_state = st.value;
-  next_state = b.mux2(next_state, b.constant(kStDrain, 2), b.and2(is_load, load_done), 2);
-  next_state = b.mux2(next_state, b.constant(kStLoad, 2), b.and2(is_drain, drain_done), 2);
-  finish_state_reg(b, st, next_state);
-
-  b.out_port("out_data", out_data);
-  b.out_port("out_valid", out_valid);
-  return std::move(b).take();
+  if (fuse_relu) sum = b.relu(sum, kDataW);
+  ctl.drain_output(sum);
+  return ctl.finish(load_done, kInvalidNet, rpix.wrap);
 }
 
 Netlist make_concat_component(const std::string& name, const std::vector<int>& volumes,
                               bool fuse_relu) {
-  NetlistBuilder b(name);
-  const NetId out_ready = b.in_port("out_ready", 1);
-
-  const StateReg st = make_state_reg(b);
-  const NetId is_load = b.eq(st.value, b.constant(kStLoad, 2));
-  const NetId is_drain = b.eq(st.value, b.constant(kStDrain, 2));
+  Controller ctl(name, Source::kJoin, Phases::kLoadDrain);
+  NetlistBuilder& b = ctl.builder;
 
   long total = 0;
   for (int v : volumes) total += v;
-  const NetId streaming = b.and2(is_drain, out_ready);
+  const NetId streaming = ctl.begin_drain();
   const auto rpix = b.counter(static_cast<std::uint32_t>(total), streaming, kAddrW, "rpix");
 
   NetId load_done = kInvalidNet;
@@ -897,29 +739,18 @@ Netlist make_concat_component(const std::string& name, const std::vector<int>& v
             : b.ltu(rpix.value,
                     b.constant(static_cast<std::uint64_t>(offset + volume), kAddrW));
     const NetId in_range = b.and2(ge_off, below_end);
-    const NetId raddr = b.mux2(b.zero(kAddrW), b.sub(rpix.value, off, kAddrW), in_range,
-                               kAddrW);
-    const JoinPort port = make_join_port(b, static_cast<int>(k), volume, is_load, raddr);
+    const NetId local = b.sub(rpix.value, off, kAddrW);
+    const NetId raddr = b.mux2(b.zero(kAddrW), local, in_range, kAddrW);
+    const JoinPort port =
+        make_join_port(b, static_cast<int>(k), volume, ctl.is_load, raddr);
     load_done = k == 0 ? port.done : b.and2(load_done, port.done);
     // Bank select is aligned to the 1-cycle BRAM read latency.
     data = k == 0 ? port.buf : b.mux2(data, port.buf, b.delay(ge_off, 1, 1), kDataW);
     offset += volume;
   }
-  NetId result = data;
-  if (fuse_relu) result = b.relu(result, kDataW);
-
-  const NetId out_data = b.ff(result, kInvalidNet, kDataW, "ob_reg");
-  const NetId out_valid = b.delay(streaming, 2, 1);
-  const NetId drain_done = rpix.wrap;
-
-  NetId next_state = st.value;
-  next_state = b.mux2(next_state, b.constant(kStDrain, 2), b.and2(is_load, load_done), 2);
-  next_state = b.mux2(next_state, b.constant(kStLoad, 2), b.and2(is_drain, drain_done), 2);
-  finish_state_reg(b, st, next_state);
-
-  b.out_port("out_data", out_data);
-  b.out_port("out_valid", out_valid);
-  return std::move(b).take();
+  if (fuse_relu) data = b.relu(data, kDataW);
+  ctl.drain_output(data);
+  return ctl.finish(load_done, kInvalidNet, rpix.wrap);
 }
 
 Netlist make_stream_fork(const std::string& name, int branches, int width) {
@@ -932,70 +763,24 @@ Netlist make_stream_fork(const std::string& name, int branches, int width) {
   // only when every branch is empty or popping this cycle, so the shared
   // register can never clobber an unconsumed word.
   std::vector<NetId> ready(static_cast<std::size_t>(branches));
-  std::vector<NetId> full(static_cast<std::size_t>(branches));
-  std::vector<CellId> full_reg(static_cast<std::size_t>(branches));
+  std::vector<NetlistBuilder::Reg> full(static_cast<std::size_t>(branches));
   NetId all_clear = kInvalidNet;
-  for (int k = 0; k < branches; ++k) {
-    ready[static_cast<std::size_t>(k)] =
-        b.in_port(stream_port_name("out", k, "ready"), 1);
-    Cell cell;
-    cell.type = CellType::kFf;
-    cell.width = 1;
-    cell.name = "full" + std::to_string(k);
-    full_reg[static_cast<std::size_t>(k)] = b.netlist().add_cell(std::move(cell));
-    full[static_cast<std::size_t>(k)] = b.netlist().add_net(1);
-    b.netlist().connect_output(full_reg[static_cast<std::size_t>(k)], 0,
-                               full[static_cast<std::size_t>(k)]);
-    const NetId clear = b.or2(b.not1(full[static_cast<std::size_t>(k)]),
-                              ready[static_cast<std::size_t>(k)]);
+  for (std::size_t k = 0; k < full.size(); ++k) {
+    ready[k] = b.in_port(stream_port_name("out", static_cast<int>(k), "ready"), 1);
+    full[k] = b.reg(1, "full" + std::to_string(k));
+    const NetId clear = b.or2(b.not1(full[k].q), ready[k]);
     all_clear = k == 0 ? clear : b.and2(all_clear, clear);
   }
   const NetId push = b.and2(in_valid, all_clear);
   const NetId data = b.ff(in_data, push, w, "skid");
-  for (int k = 0; k < branches; ++k) {
-    const NetId hold = b.and2(full[static_cast<std::size_t>(k)],
-                              b.not1(ready[static_cast<std::size_t>(k)]));
-    b.netlist().connect_input(full_reg[static_cast<std::size_t>(k)], 0,
-                              b.or2(push, hold));
-    b.netlist().connect_input(full_reg[static_cast<std::size_t>(k)], 1, b.one());
-    b.out_port(stream_port_name("out", k, "data"), data);
-    b.out_port(stream_port_name("out", k, "valid"), full[static_cast<std::size_t>(k)]);
+  for (std::size_t k = 0; k < full.size(); ++k) {
+    const NetId hold = b.and2(full[k].q, b.not1(ready[k]));
+    const NetId next = b.or2(push, hold);
+    b.close(full[k], next, b.one());
+    b.out_port(stream_port_name("out", static_cast<int>(k), "data"), data);
+    b.out_port(stream_port_name("out", static_cast<int>(k), "valid"), full[k].q);
   }
   b.out_port("in_ready", all_clear);
-  return std::move(b).take();
-}
-
-Netlist make_mmu_component(const std::string& name, int buffer_words) {
-  NetlistBuilder b(name);
-  const NetId in_data = b.in_port("in_data", kDataW);
-  const NetId in_valid = b.in_port("in_valid", 1);
-  const NetId out_ready = b.in_port("out_ready", 1);
-
-  const StateReg st = make_state_reg(b);
-  const NetId is_load = b.eq(st.value, b.constant(kStLoad, 2));
-  const NetId is_drain = b.eq(st.value, b.constant(kStDrain, 2));
-
-  const NetId wr = b.and2(is_load, in_valid);
-  const auto wpix = b.counter(static_cast<std::uint32_t>(buffer_words), wr, kAddrW, "wpix");
-  const NetId load_done = wpix.wrap;
-
-  const NetId streaming = b.and2(is_drain, out_ready);
-  const auto rpix =
-      b.counter(static_cast<std::uint32_t>(buffer_words), streaming, kAddrW, "rpix");
-  const NetId buf = b.bram(wpix.value, in_data, wr,
-                           static_cast<std::uint32_t>(buffer_words), kDataW, -1, "buf",
-                           rpix.value);
-  const NetId out_data = b.ff(buf, kInvalidNet, kDataW, "ob_reg");
-  const NetId drain_done = rpix.wrap;
-
-  NetId next_state = st.value;
-  next_state = b.mux2(next_state, b.constant(kStDrain, 2), b.and2(is_load, load_done), 2);
-  next_state = b.mux2(next_state, b.constant(kStLoad, 2), b.and2(is_drain, drain_done), 2);
-  finish_state_reg(b, st, next_state);
-
-  b.out_port("in_ready", is_load);
-  b.out_port("out_data", out_data);
-  b.out_port("out_valid", b.delay(streaming, 2, 1));
   return std::move(b).take();
 }
 

@@ -1,5 +1,5 @@
-// FIFO, input streamer and MMU components: the Fig. 5 communication
-// interface pieces.
+// FIFO, join and fork components: the Fig. 5 communication interface
+// pieces.
 #include <gtest/gtest.h>
 
 #include "sim/simulator.h"
@@ -63,103 +63,6 @@ TEST(StreamFifo, EmptyFifoHasNoValidOutput) {
     EXPECT_EQ(sim.get_output("out_valid"), 0u);
     sim.step();
   }
-}
-
-TEST(InputStreamer, PlaysImageInOrder) {
-  const auto image = random_fixed(10, 7);
-  const Netlist nl = make_input_streamer("src", image);
-  Simulator sim(nl);
-  sim.set_input("out_ready", 1);
-  std::vector<std::int16_t> got;
-  for (int cycle = 0; cycle < 12 && got.size() < image.size(); ++cycle) {
-    sim.step();
-    if (sim.get_output("out_valid") == 1) {
-      got.push_back(static_cast<std::int16_t>(
-          static_cast<std::uint16_t>(sim.get_output("out_data"))));
-    }
-  }
-  ASSERT_EQ(got.size(), image.size());
-  for (std::size_t i = 0; i < image.size(); ++i) EXPECT_EQ(got[i], image[i].raw);
-}
-
-TEST(InputStreamer, DoesNotDropWordsAcrossBackpressure) {
-  // The prefetch register must hold the current word while ready is low.
-  const auto image = random_fixed(6, 9);
-  const Netlist nl = make_input_streamer("src", image);
-  Simulator sim(nl);
-  std::vector<std::int16_t> got;
-  int cycle = 0;
-  while (got.size() < image.size() && cycle < 100) {
-    // Toggle ready on and off to stress the handshake.
-    const bool ready = (cycle / 3) % 2 == 0;
-    sim.set_input("out_ready", ready ? 1 : 0);
-    const bool valid = sim.get_output("out_valid") == 1;
-    if (ready && valid) {
-      got.push_back(static_cast<std::int16_t>(
-          static_cast<std::uint16_t>(sim.get_output("out_data"))));
-    }
-    sim.step();
-    ++cycle;
-  }
-  ASSERT_EQ(got.size(), image.size());
-  for (std::size_t i = 0; i < image.size(); ++i) {
-    EXPECT_EQ(got[i], image[i].raw) << "word " << i;
-  }
-}
-
-TEST(InputStreamer, LoopsAfterOneImage) {
-  const auto image = random_fixed(4, 10);
-  const Netlist nl = make_input_streamer("src", image);
-  Simulator sim(nl);
-  sim.set_input("out_ready", 1);
-  std::vector<std::int16_t> got;
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    sim.step();
-    if (sim.get_output("out_valid") == 1) {
-      got.push_back(static_cast<std::int16_t>(
-          static_cast<std::uint16_t>(sim.get_output("out_data"))));
-    }
-  }
-  ASSERT_GE(got.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(got[i], image[i % 4].raw);
-}
-
-TEST(MmuComponent, BuffersAndForwardsBurst) {
-  const int words = 12;
-  const Netlist nl = make_mmu_component("mmu", words);
-  ASSERT_TRUE(nl.validate().empty());
-  Simulator sim(nl);
-  const auto burst = random_fixed(static_cast<std::size_t>(words), 14);
-  sim.set_input("out_ready", 1);
-  sim.set_input("in_valid", 1);
-  for (const Fixed16& v : burst) {
-    ASSERT_EQ(sim.get_output("in_ready"), 1u);
-    sim.set_input("in_data", static_cast<std::uint16_t>(v.raw));
-    sim.step();
-  }
-  sim.set_input("in_valid", 0);
-  std::vector<std::int16_t> got;
-  for (int cycle = 0; cycle < 40 && got.size() < burst.size(); ++cycle) {
-    sim.step();
-    if (sim.get_output("out_valid") == 1) {
-      got.push_back(static_cast<std::int16_t>(
-          static_cast<std::uint16_t>(sim.get_output("out_data"))));
-    }
-  }
-  ASSERT_EQ(got.size(), burst.size());
-  for (std::size_t i = 0; i < burst.size(); ++i) EXPECT_EQ(got[i], burst[i].raw);
-}
-
-TEST(MmuComponent, NotReadyWhileDraining) {
-  const Netlist nl = make_mmu_component("mmu", 4);
-  Simulator sim(nl);
-  sim.set_input("out_ready", 0);
-  sim.set_input("in_valid", 1);
-  sim.set_input("in_data", 1);
-  for (int i = 0; i < 4; ++i) sim.step();
-  sim.set_input("in_valid", 0);
-  sim.step();
-  EXPECT_EQ(sim.get_output("in_ready"), 0u);  // in DRAIN, waiting for ready
 }
 
 /// Drives all input streams of a multi-input component concurrently
