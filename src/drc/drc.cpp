@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
+
+#include "drc/rules.h"
+#include "util/json.h"
 
 namespace fpgasim {
 
@@ -59,13 +63,104 @@ std::vector<const DrcViolation*> DrcReport::by_rule(const std::string& rule) con
   return out;
 }
 
-const std::vector<const DrcRule*>& drc_rules() {
-  static const std::vector<const DrcRule*> rules = [] {
-    std::vector<const DrcRule*> r;
-    drc_detail::register_structural_rules(r);
-    drc_detail::register_placement_rules(r);
-    drc_detail::register_routing_rules(r);
-    drc_detail::register_checkpoint_rules(r);
+bool DrcReport::has(const std::string& rule) const {
+  return std::any_of(violations_.begin(), violations_.end(),
+                     [&](const DrcViolation& v) { return v.rule == rule; });
+}
+
+std::string DrcReport::to_json() const {
+  JsonWriter w;
+  w.begin_object();
+  w.key("design").value(design_);
+  w.key("errors").value(errors_);
+  w.key("warnings").value(warnings_);
+  w.key("infos").value(infos_);
+  w.key("waived").value(waived_);
+  w.key("suppressed").value(suppressed_);
+  w.key("rules_run").value(rules_run_);
+  w.key("violations").begin_array();
+  for (const DrcViolation& v : violations_) {
+    w.begin_object();
+    w.key("rule").value(v.rule);
+    w.key("severity").value(fpgasim::to_string(v.severity));
+    w.key("message").value(v.message);
+    if (v.cell != kInvalidCell) w.key("cell").value(static_cast<std::size_t>(v.cell));
+    if (v.net != kInvalidNet) w.key("net").value(static_cast<std::size_t>(v.net));
+    if (v.waived) w.key("waived").value(true);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  return w.str();
+}
+
+namespace drc_detail {
+
+void Emitter::begin_pass(const std::vector<DrcRuleInfo>& rules) {
+  pass_rules_ = &rules;
+  enter(rules.front());
+}
+
+void Emitter::rule(const char* id) {
+  for (const DrcRuleInfo& info : *pass_rules_) {
+    if (std::string_view(info.id) == id) return enter(info);
+  }
+  throw std::logic_error(std::string("drc: rule '") + id + "' is not in the running pass");
+}
+
+void Emitter::enter(const DrcRuleInfo& info) {
+  rule_ = info.id;
+  severity_ = info.severity;
+  waived_ = std::find(opt_.waived_rules.begin(), opt_.waived_rules.end(), info.id) !=
+            opt_.waived_rules.end();
+  emitted_ = 0;
+}
+
+void Emitter::emit(DrcSeverity severity, std::string message, CellId cell, NetId net) {
+  if (emitted_ == opt_.max_violations_per_rule) {
+    ++report_.suppressed_;
+    return;
+  }
+  ++emitted_;
+  report_.add({rule_, severity, std::move(message), cell, net, waived_});
+}
+
+std::string net_ref(const Netlist& nl, NetId n) {
+  std::string s = "net #" + std::to_string(n);
+  if (!nl.net(n).name.empty()) s += " ('" + nl.net(n).name + "')";
+  return s;
+}
+
+std::string cell_ref(const Netlist& nl, CellId c) {
+  std::string s = std::string(to_string(nl.cell(c).type)) + " cell #" + std::to_string(c);
+  if (!nl.cell(c).name.empty()) s += " ('" + nl.cell(c).name + "')";
+  return s;
+}
+
+namespace {
+
+const std::vector<DrcPass>& drc_passes() {
+  static const std::vector<DrcPass> passes = [] {
+    std::vector<DrcPass> p;
+    register_structural_rules(p);
+    register_dataflow_rules(p);
+    register_placement_rules(p);
+    register_routing_rules(p);
+    register_checkpoint_rules(p);
+    return p;
+  }();
+  return passes;
+}
+
+}  // namespace
+}  // namespace drc_detail
+
+const std::vector<DrcRuleInfo>& drc_rules() {
+  static const std::vector<DrcRuleInfo> rules = [] {
+    std::vector<DrcRuleInfo> r;
+    for (const drc_detail::DrcPass& pass : drc_detail::drc_passes()) {
+      r.insert(r.end(), pass.rules.begin(), pass.rules.end());
+    }
     return r;
   }();
   return rules;
@@ -76,23 +171,13 @@ DrcReport run_drc(const DrcContext& ctx, unsigned stages, const DrcOptions& opt)
     throw std::invalid_argument("run_drc: context has no netlist");
   }
   DrcReport report;
-  for (const DrcRule* rule : drc_rules()) {
-    if ((rule->stages() & stages) == 0) continue;
-    const bool waived = std::find(opt.waived_rules.begin(), opt.waived_rules.end(),
-                                  rule->id()) != opt.waived_rules.end();
-    DrcReport local;
-    rule->check(ctx, local);
-    ++report.rules_run_;
-    std::size_t kept = 0;
-    for (DrcViolation& v : local.violations_) {
-      if (kept == opt.max_violations_per_rule) {
-        report.suppressed_ += local.violations_.size() - kept;
-        break;
-      }
-      ++kept;
-      v.waived = waived;
-      report.add(std::move(v));
-    }
+  report.design_ = ctx.netlist->name();
+  drc_detail::Emitter out(report, opt);
+  for (const drc_detail::DrcPass& pass : drc_detail::drc_passes()) {
+    if ((pass.rules.front().stages & stages) == 0) continue;
+    out.begin_pass(pass.rules);
+    pass.check(ctx, out);
+    report.rules_run_ += pass.rules.size();
   }
   return report;
 }

@@ -3,13 +3,20 @@
 // backstop of the pre-implemented flow — relocated, stitched checkpoints
 // are only trusted after an independent pass verifies that the composed
 // design is well-formed (structure), legally placed (column/tile
-// capacities, pblock containment) and legally routed (channel capacities,
-// locked-route conflicts, terminal coverage).
+// capacities, pblock containment), legally routed (channel capacities,
+// locked-route conflicts, terminal coverage) and free of runtime hazards
+// a structural invariant cannot see (dataflow: dead logic, stuck nets,
+// uninitialized state reaching an output).
 //
-// Rules are registered in a global registry (see drc_rules()); each rule
-// declares the flow stages it applies to and a default severity. A rule
-// can be waived by id through DrcOptions; waived findings are still
-// recorded but never count as errors.
+// Rules are listed in one registry (see drc_rules()); each rule declares
+// the flow stages it applies to and a default severity. One check pass
+// may report under several rule ids (the dataflow fixpoint feeds three).
+// A rule can be waived by id through DrcOptions; waived findings are
+// still recorded but never count as errors.
+//
+// Every pass is single-threaded and iterates in index order, and findings
+// come out grouped in registry order, so a report (and its JSON) is
+// byte-identical at any FPGASIM_THREADS width.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +41,8 @@ enum DrcStage : unsigned {
   kDrcPlacement = 1u << 1,   // needs PhysState (+ Device)
   kDrcRouting = 1u << 2,     // needs PhysState (+ Device)
   kDrcCheckpoint = 1u << 3,  // needs Checkpoint
-  kDrcAllStages = 0xFu,
+  kDrcDataflow = 1u << 4,    // netlist only: liveness + 0/1/X propagation
+  kDrcAllStages = 0x1Fu,
 };
 
 /// One pre-implemented component instance inside a composed design:
@@ -83,10 +91,12 @@ struct DrcOptions {
   std::size_t max_violations_per_rule = 64;
 };
 
+namespace drc_detail {
+class Emitter;
+}  // namespace drc_detail
+
 class DrcReport {
  public:
-  void add(DrcViolation violation);
-
   bool clean() const { return errors_ == 0; }
   std::size_t errors() const { return errors_; }
   std::size_t warnings() const { return warnings_; }
@@ -103,9 +113,19 @@ class DrcReport {
 
   /// Violations recorded against `rule` (waived included).
   std::vector<const DrcViolation*> by_rule(const std::string& rule) const;
+  /// True when at least one (possibly waived) violation carries `rule`.
+  bool has(const std::string& rule) const;
+
+  /// Machine-readable report: the design name, counts and violations,
+  /// never timing, so it is byte-identical across runs and widths.
+  std::string to_json() const;
 
  private:
   friend DrcReport run_drc(const DrcContext&, unsigned, const DrcOptions&);
+  friend class drc_detail::Emitter;
+  void add(DrcViolation violation);
+
+  std::string design_;
   std::vector<DrcViolation> violations_;
   std::size_t errors_ = 0;
   std::size_t warnings_ = 0;
@@ -115,48 +135,31 @@ class DrcReport {
   std::size_t rules_run_ = 0;
 };
 
-/// A single design rule. Stateless; check() appends findings to the report.
-class DrcRule {
- public:
-  virtual ~DrcRule() = default;
-  virtual const char* id() const = 0;
-  virtual const char* what() const = 0;  // one-line description
-  virtual unsigned stages() const = 0;   // DrcStage bitmask
-  virtual DrcSeverity severity() const = 0;
-  virtual void check(const DrcContext& ctx, DrcReport& report) const = 0;
+/// Static description of one rule.
+struct DrcRuleInfo {
+  const char* id;
+  const char* what;      // one-line description
+  unsigned stages;       // DrcStage bitmask
+  DrcSeverity severity;  // default severity
 };
 
-/// The global rule registry (stable order, built once).
-const std::vector<const DrcRule*>& drc_rules();
+/// The rule registry, in the order findings are emitted.
+const std::vector<DrcRuleInfo>& drc_rules();
 
-/// Runs every registered rule whose stages() intersects `stages`.
+/// Runs every registered rule whose stages intersect `stages`.
 DrcReport run_drc(const DrcContext& ctx, unsigned stages = kDrcAllStages,
                   const DrcOptions& opt = {});
 
-/// Structural subset over a bare netlist (compose gate, checkpoint load).
+/// Structural subset over a bare netlist (compose gate).
 DrcReport run_structural_drc(const Netlist& netlist, const DrcOptions& opt = {});
 
-/// Full check of one checkpoint: structural + placement/routing bounded by
-/// its pblock + checkpoint-integrity rules. `device` may be null (rules
-/// needing it are skipped, e.g. after a bare load_checkpoint).
+/// Full check of one checkpoint: structural + dataflow + placement/routing
+/// bounded by its pblock + checkpoint-integrity rules. `device` may be null
+/// (rules needing it are skipped, e.g. after a bare load_checkpoint).
 DrcReport run_checkpoint_drc(const Checkpoint& checkpoint, const Device* device = nullptr,
                              const DrcOptions& opt = {});
 
 /// Throws std::runtime_error with the report listing when !report.clean().
 void enforce_drc(const DrcReport& report, const std::string& where);
-
-// -- shared helpers used by the rule implementations ------------------------
-namespace drc_detail {
-
-// Cell-semantics helpers (expected_output_width, is_combinational,
-// required_input_pins) moved to netlist/netlist.h so lint and DRC share
-// one definition; unqualified uses below resolve through fpgasim::.
-
-void register_structural_rules(std::vector<const DrcRule*>& rules);
-void register_placement_rules(std::vector<const DrcRule*>& rules);
-void register_routing_rules(std::vector<const DrcRule*>& rules);
-void register_checkpoint_rules(std::vector<const DrcRule*>& rules);
-
-}  // namespace drc_detail
 
 }  // namespace fpgasim

@@ -24,14 +24,13 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
 
   // DRC gate: verifies the design between stages and throws on errors.
   const auto drc_gate = [&](unsigned stages, DrcReport& into, const char* where) {
-    if (!opt.drc) return;
     Stopwatch watch;
     DrcContext ctx;
     ctx.netlist = &netlist;
     ctx.phys = &phys;
     ctx.device = &device;
     ctx.channel_capacity = opt.route.channel_capacity;
-    into = run_drc(ctx, stages, opt.drc_options);
+    into = run_drc(ctx, stages);
     report.drc_seconds += watch.seconds();
     enforce_drc(into, where);
   };
@@ -183,17 +182,8 @@ MonoReport run_monolithic_flow(const Device& device, Netlist& netlist, PhysState
     report.phys_opt_seconds = stage.seconds();
   }
 
-  drc_gate(kDrcStructural | kDrcPlacement | kDrcRouting, report.drc,
+  drc_gate(kDrcStructural | kDrcPlacement | kDrcRouting | kDrcDataflow, report.drc,
            "monolithic after routing");
-
-  if (opt.lint) {
-    stage.restart();
-    report.lint = lint::run(netlist, opt.lint_options);
-    report.lint_seconds = stage.seconds();
-    LOG_DEBUG("monolithic lint: %s (%.3fs wall, %.3fs cpu)", report.lint.summary().c_str(),
-              report.lint.wall_seconds, report.lint.cpu_seconds);
-    lint::enforce(report.lint, "monolithic after routing");
-  }
 
   report.stats = netlist.stats();
   report.total_seconds = total.seconds();

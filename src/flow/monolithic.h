@@ -9,7 +9,6 @@
 
 #include "drc/drc.h"
 #include "fabric/device.h"
-#include "lint/lint.h"
 #include "netlist/netlist.h"
 #include "netlist/phys.h"
 #include "route/router.h"
@@ -24,11 +23,6 @@ struct MonoOptions {
   bool phys_opt = true;
   int replication_fanout = 48;  // duplicate drivers above this fanout
   RouteOptions route;
-  bool drc = true;         // run the DRC gate after placement and routing
-  DrcOptions drc_options;  // waivers forwarded to every gate
-  /// Opt-in fpgalint gate over the final (post-phys-opt) netlist.
-  bool lint = false;
-  lint::LintOptions lint_options;
 };
 
 struct MonoReport {
@@ -46,14 +40,10 @@ struct MonoReport {
   std::size_t inserted_ffs = 0;
   std::size_t replicated_drivers = 0;
 
-  // DRC gate results (all empty when MonoOptions::drc is false).
+  // DRC gate results.
   double drc_seconds = 0.0;
   DrcReport drc_place;  // structural + placement, after SA placement
-  DrcReport drc;        // full check, after routing + phys_opt
-
-  // fpgalint gate result (empty when MonoOptions::lint is false).
-  double lint_seconds = 0.0;
-  lint::LintReport lint;
+  DrcReport drc;        // + routing and dataflow, after routing + phys_opt
 };
 
 /// Runs the baseline flow in place: `netlist` gains phys-opt cells and

@@ -154,11 +154,6 @@ OocResult implement_ooc(const Device& device, Netlist netlist, const OocOptions&
   best.checkpoint.meta.implement_seconds = best.seconds;
   best.checkpoint.meta.strategy = "aspect_" + std::to_string(best.strategy);
   best.checkpoint.meta.device = device.name();
-  if (opt.lint) {
-    // Static-analysis gate before the checkpoint can enter the database.
-    best.lint = lint::run(best.checkpoint.netlist, opt.lint_options);
-    lint::enforce(best.lint, "ooc '" + best.checkpoint.netlist.name() + "'");
-  }
   LOG_DEBUG("ooc '%s': %s in %.2fs (strategy %d, %s)",
             best.checkpoint.netlist.name().c_str(), best.timing.summary().c_str(),
             best.seconds, best.strategy, best.checkpoint.pblock.to_string().c_str());

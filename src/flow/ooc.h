@@ -8,7 +8,6 @@
 #include <cstdint>
 
 #include "fabric/device.h"
-#include "lint/lint.h"
 #include "netlist/checkpoint.h"
 #include "route/router.h"
 #include "timing/sta.h"
@@ -24,12 +23,6 @@ struct OocOptions {
   bool port_planning = true;     // partition pins on the boundary (ablation B)
   bool lock = true;              // logic locking of the winner (ablation C)
   RouteOptions route;
-  /// Opt-in fpgalint gate: statically analyze the implemented component
-  /// before it enters the database (a silent defect in one checkpoint
-  /// replicates into every network built from it). Throws on error
-  /// findings; the report rides along in OocResult::lint.
-  bool lint = false;
-  lint::LintOptions lint_options;
 };
 
 struct OocResult {
@@ -39,7 +32,6 @@ struct OocResult {
   double seconds = 0.0;      // function-optimization wall time
   double cpu_seconds = 0.0;  // process CPU time over the same span
   int strategy = 0;          // winning exploration strategy index
-  lint::LintReport lint;     // empty unless OocOptions::lint
 };
 
 /// Implements `netlist` OOC on `device`. Throws std::runtime_error when no

@@ -19,7 +19,6 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
 
   // DRC gate: verifies the design between stages and throws on errors.
   const auto drc_gate = [&](unsigned stages, DrcReport& into, const char* where) {
-    if (!opt.drc) return;
     Stopwatch watch;
     DrcContext ctx;
     ctx.netlist = &out.netlist;
@@ -27,7 +26,7 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
     ctx.device = &device;
     ctx.instances = out.drc_instances();
     ctx.channel_capacity = opt.route.channel_capacity;
-    into = run_drc(ctx, stages, opt.drc_options);
+    into = run_drc(ctx, stages);
     report.drc_seconds += watch.seconds();
     enforce_drc(into, where);
   };
@@ -86,24 +85,8 @@ PreImplReport run_preimpl_flow(const Device& device, const ComponentGraph& graph
   report.route_seconds = stage.seconds();
   LOG_DEBUG("preimpl route: %zu nets, %d iterations [%s]", report.route.nets_routed,
             report.route.iterations, report.route.iteration_summary().c_str());
-  drc_gate(kDrcStructural | kDrcPlacement | kDrcRouting, report.drc, "preimpl after routing");
-
-  if (opt.lint) {
-    // fpgalint gate: dataflow analysis over the final composed netlist,
-    // stitch-boundary aware through the instance ranges.
-    stage.restart();
-    lint::LintOptions lint_opt = opt.lint_options;
-    lint_opt.instances.clear();
-    for (const ComposedDesign::Instance& inst : out.instances) {
-      lint_opt.instances.push_back(
-          {inst.name, inst.cell_offset, inst.cell_end, inst.net_offset, inst.net_end});
-    }
-    report.lint = lint::run(out.netlist, lint_opt);
-    report.lint_seconds = stage.seconds();
-    LOG_DEBUG("preimpl lint: %s (%.3fs wall, %.3fs cpu)", report.lint.summary().c_str(),
-              report.lint.wall_seconds, report.lint.cpu_seconds);
-    lint::enforce(report.lint, "preimpl after routing");
-  }
+  drc_gate(kDrcStructural | kDrcPlacement | kDrcRouting | kDrcDataflow, report.drc,
+           "preimpl after routing");
 
   stage.restart();
   report.timing = run_sta(out.netlist, out.phys, device);

@@ -13,7 +13,6 @@
 #include "cnn/model.h"
 #include "fabric/device.h"
 #include "flow/compose.h"
-#include "lint/lint.h"
 #include "place/macro_placer.h"
 #include "route/router.h"
 #include "timing/sta.h"
@@ -24,13 +23,6 @@ struct PreImplOptions {
   std::uint64_t seed = 1;
   MacroPlaceOptions macro;
   RouteOptions route;
-  bool drc = true;         // run the DRC gate after compose/place/route
-  DrcOptions drc_options;  // waivers forwarded to every gate
-  /// Opt-in fpgalint gate: dataflow static analysis (comb loops, dead
-  /// logic, const/X propagation, stitch-boundary widths) over the final
-  /// composed netlist. Throws on error findings.
-  bool lint = false;
-  lint::LintOptions lint_options;  // waivers; instances filled by the flow
 };
 
 struct PreImplReport {
@@ -50,17 +42,11 @@ struct PreImplReport {
   RouteResult route;
   MacroPlaceResult macro;
 
-  // DRC gate results (all empty when PreImplOptions::drc is false).
+  // DRC gate results; drc_seconds also counts inside total_seconds.
   double drc_seconds = 0.0;
   DrcReport drc_compose;  // structural subset, after stitching
   DrcReport drc_place;    // + placement legality, after relocation
-  DrcReport drc;          // full check, after inter-component routing
-
-  // fpgalint gate result over the final composed netlist (empty when
-  // PreImplOptions::lint is false); lint_seconds also counts inside
-  // total_seconds like the DRC gate.
-  double lint_seconds = 0.0;
-  lint::LintReport lint;
+  DrcReport drc;          // + routing and dataflow, after inter-component routing
 
   double slowest_component_mhz = 0.0;
   std::string slowest_component;

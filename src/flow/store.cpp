@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "drc/drc.h"
-#include "lint/lint.h"
 #include "util/log.h"
 
 namespace fpgasim {
@@ -82,8 +81,7 @@ Hash128 CheckpointStore::content_hash(const std::string& key, const std::string&
 
 CheckpointStore::CheckpointStore(StoreOptions opt)
     : dir_(resolve_dir(opt.dir)),
-      cache_budget_(resolve_cache_bytes(opt.cache_bytes)),
-      lint_(opt.lint) {
+      cache_budget_(resolve_cache_bytes(opt.cache_bytes)) {
   const std::size_t shard_count = opt.shards > 0 ? opt.shards : 1;
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
@@ -221,12 +219,8 @@ std::shared_ptr<const Checkpoint> CheckpointStore::load_entry(const Hash128& has
     const std::string path = entry_path(hash);
     Checkpoint cp = load_checkpoint(path);
     // A store entry only becomes usable content if it passes the
-    // checkpoint DRC (device-dependent rules run at use time) and, opt-in,
-    // fpgalint.
+    // checkpoint DRC (device-dependent rules run at use time).
     enforce_drc(run_checkpoint_drc(cp), "store load '" + key + "' (" + path + ")");
-    if (lint_) {
-      lint::enforce(lint::run(cp.netlist), "store load '" + key + "' (" + path + ")");
-    }
     disk_loads_.fetch_add(1, std::memory_order_relaxed);
     result = cache_insert(hash, std::make_shared<const Checkpoint>(std::move(cp)));
   } catch (...) {

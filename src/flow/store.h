@@ -5,7 +5,7 @@
 // append-friendly index file plus one immutable `.fdcp` per entry, written
 // atomically (temp file + rename). An in-memory sharded LRU cache with a
 // configurable byte budget makes repeated gets cheap: a checkpoint is
-// deserialized — and DRC/lint-gated — at most once per process while it
+// deserialized — and DRC-gated — at most once per process while it
 // stays resident.
 #pragma once
 
@@ -42,8 +42,6 @@ struct StoreOptions {
   std::size_t cache_bytes = 0;
   /// Cache shard count (each shard has its own mutex + LRU list).
   std::size_t shards = 8;
-  /// Opt-in fpgalint gate on disk loads (the DRC gate always runs).
-  bool lint = false;
 };
 
 struct StoreStats {
@@ -89,9 +87,9 @@ class CheckpointStore {
 
   /// Fetches a checkpoint; nullptr when absent. Cache hits are lock-brief
   /// pointer copies; misses deserialize from disk exactly once per
-  /// process (concurrent loads of the same entry are deduplicated), DRC
-  /// gate the bytes (plus fpgalint when StoreOptions::lint), then insert
-  /// into the LRU. Throws when a present entry fails to load or gate.
+  /// process (concurrent loads of the same entry are deduplicated), gate
+  /// the bytes on the checkpoint DRC, then insert into the LRU. Throws when
+  /// a present entry fails to load or gate.
   std::shared_ptr<const Checkpoint> get(const std::string& key, const Device& device);
 
   /// Persists a checkpoint (atomic temp-file + rename, then an index
@@ -138,7 +136,6 @@ class CheckpointStore {
 
   std::string dir_;
   std::size_t cache_budget_ = 0;
-  bool lint_ = false;
 
   mutable std::mutex index_mutex_;
   std::map<Hash128, IndexEntry> index_;

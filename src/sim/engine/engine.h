@@ -94,12 +94,15 @@ class InferenceEngine {
   static constexpr std::size_t kMaxContexts = 64;  // free-list is one u64 bitmask
 
   /// Compiles `netlist` once (or adopts `plan` when given — zero
-  /// compilations). The netlist reference must outlive the engine: the
-  /// interpreter oracle replays against it.
+  /// compilations). The netlist reference must outlive the engine (a
+  /// temporary does not compile): the interpreter oracle replays against it.
   InferenceEngine(const Netlist& netlist, EngineOptions options = {},
                   ThreadPool* pool = nullptr);
   InferenceEngine(const Netlist& netlist, std::shared_ptr<const SimPlan> plan,
                   EngineOptions options = {}, ThreadPool* pool = nullptr);
+  InferenceEngine(Netlist&&, EngineOptions = {}, ThreadPool* = nullptr) = delete;
+  InferenceEngine(Netlist&&, std::shared_ptr<const SimPlan>, EngineOptions = {},
+                  ThreadPool* = nullptr) = delete;
 
   const SimPlan& plan() const { return *plan_; }
   std::size_t context_count() const { return contexts_.size(); }

@@ -1,7 +1,7 @@
 // The simulation semantics contract: one definition of "what does this
 // cell compute", shared by the interpreter (sim/simulator.cpp), the
-// compiled bit-parallel simulator (sim/compiled.cpp) and the lint constant
-// folder (lint/analyze_values.cpp). Combinational cells are evaluated by
+// compiled bit-parallel simulator (sim/compiled.cpp) and the DRC constant
+// folder (drc/rules_dataflow.cpp). Combinational cells are evaluated by
 // eval_comb_cell(); sequential cells keep their state in the caller, but
 // the *shape* of that state (pipeline depth, pin roles, update order) is
 // pinned down here so the two simulators stay bit-identical oracles of

@@ -21,6 +21,9 @@ class Simulator {
   /// Builds evaluation order. Throws std::runtime_error on combinational
   /// loops or undriven nets with sinks that are not module inputs.
   explicit Simulator(const Netlist& netlist);
+  /// The simulator keeps a reference to the netlist, so a temporary would
+  /// dangle.
+  explicit Simulator(Netlist&&) = delete;
 
   /// Drives a module input port. Value is masked to the port width. The
   /// combinational fabric is NOT re-settled here: settling is deferred to

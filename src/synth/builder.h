@@ -17,7 +17,8 @@ class NetlistBuilder {
 
   /// Finalizes the component: drops logic with no path to an output port
   /// (counters whose wrap is unused, degenerate-modulus residue, ...) so
-  /// generated netlists come out lint-clean, then releases the netlist.
+  /// generated netlists pass the DRC dataflow rules with no finding, then
+  /// releases the netlist.
   Netlist take() && {
     netlist_.prune_dead();
     return std::move(netlist_);

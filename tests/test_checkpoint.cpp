@@ -7,7 +7,7 @@
 #include <fstream>
 #include <vector>
 
-#include "lint/lint.h"
+#include "drc/drc.h"
 #include "netlist/checkpoint.h"
 #include "synth/builder.h"
 
@@ -190,11 +190,11 @@ TEST(Checkpoint, SingleByteCorruptionNeverYieldsInvalidNetlist) {
       EXPECT_TRUE(loaded.netlist.validate().empty()) << "flip at byte " << pos;
       EXPECT_EQ(loaded.phys.cell_loc.size(), loaded.netlist.cell_count());
       EXPECT_EQ(loaded.phys.routes.size(), loaded.netlist.net_count());
-      // Whatever netlist survives loading, the analyzer must cope: lint is
-      // a gate on load_dir, so a crash here is a denial of service on the
-      // whole component database.
-      const lint::LintReport report = lint::run(loaded.netlist);
-      EXPECT_GE(report.rules_run(), 9u) << "flip at byte " << pos;
+      // Whatever checkpoint survives loading, every DRC rule must cope:
+      // the checkpoint DRC gates every store disk load, so a crash here is
+      // a denial of service on the whole component database.
+      const DrcReport report = run_checkpoint_drc(loaded);
+      EXPECT_EQ(report.rules_run(), drc_rules().size()) << "flip at byte " << pos;
     } catch (const std::runtime_error&) {
       // Rejection is the expected outcome for most positions.
     }

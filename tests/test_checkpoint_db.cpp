@@ -1,7 +1,7 @@
 // Persistence of the checkpoint store, the paper's "database of pre-built
 // checkpoints" (Fig. 3): put/get/contains, a branching-DFG component set
 // surviving a reopen byte for byte, a store over a directory that does not
-// exist yet, the opt-in fpgalint gate on disk loads, and rejection of a
+// exist yet, the checkpoint DRC gate on disk loads, and rejection of a
 // corrupt entry file.
 #include <gtest/gtest.h>
 
@@ -108,10 +108,11 @@ TEST(StorePersistence, MissingDirectoryOpensEmpty) {
   EXPECT_TRUE(std::filesystem::is_directory(dir));
 }
 
-TEST(StorePersistence, LintGateRejectsDefectiveEntryOnDiskLoad) {
+TEST(StorePersistence, DrcGateRejectsXEscapingEntryOnDiskLoad) {
   // A BRAM with neither ROM contents nor a write port leaks uninitialized
-  // state to the output: DRC-clean, but an fpgalint error. Only a store
-  // opened with StoreOptions::lint refuses to load it.
+  // state to the output: structurally sound, but an x-escape error of the
+  // checkpoint DRC's dataflow rules. A default-opened store refuses to load
+  // it from disk.
   const Device device = make_xcku5p_sim();
   NetlistBuilder b("xescape");
   const NetId addr = b.in_port("addr", 4);
@@ -122,11 +123,16 @@ TEST(StorePersistence, LintGateRejectsDefectiveEntryOnDiskLoad) {
   defective.phys.resize_for(defective.netlist);
   defective.pblock = Pblock{0, 0, 3, 3};
 
-  const std::string dir = fresh_dir("lint");
+  const std::string dir = fresh_dir("xescape");
   CheckpointStore(StoreOptions{.dir = dir}).put("xescape", device, defective);
-  EXPECT_NE(CheckpointStore(StoreOptions{.dir = dir}).get("xescape", device), nullptr);
-  CheckpointStore gated(StoreOptions{.dir = dir, .lint = true});
-  EXPECT_THROW(gated.get("xescape", device), std::runtime_error);
+  CheckpointStore reopened(StoreOptions{.dir = dir});
+  EXPECT_TRUE(reopened.contains("xescape", device));
+  try {
+    reopened.get("xescape", device);
+    FAIL() << "the store loaded an X-escaping entry";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("[x-escape]"), std::string::npos) << e.what();
+  }
   std::filesystem::remove_all(dir);
 }
 

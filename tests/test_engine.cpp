@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/compiled.h"
@@ -27,6 +28,13 @@
 
 namespace fpgasim {
 namespace {
+
+// The engine keeps a reference to its netlist for the oracle replays: a
+// temporary must not compile, with or without a shared plan.
+static_assert(std::is_constructible_v<InferenceEngine, const Netlist&>);
+static_assert(!std::is_constructible_v<InferenceEngine, Netlist&&>);
+static_assert(!std::is_constructible_v<InferenceEngine, Netlist&&,
+                                       std::shared_ptr<const SimPlan>>);
 
 // Small but representative fixture: combinational mix, an enabled
 // accumulator, a shift-register pipeline, a plan-shared ROM and a

@@ -8,9 +8,12 @@
 
 #include "flow/build.h"
 #include "flow/monolithic.h"
+#include "flow/ooc.h"
 #include "flow/preimpl.h"
 #include "flow/service.h"
 #include "stream_harness.h"
+#include "synth/builder.h"
+#include "synth/layers.h"
 
 namespace fpgasim {
 namespace {
@@ -215,13 +218,31 @@ TEST(Flows, MonolithicLeNetFinishesDrcClean) {
   EXPECT_GT(mono.drc.rules_run(), 0u);
 }
 
-TEST(Flows, DrcGateCanBeDisabled) {
-  MiniFlow f;
-  PreImplOptions opt;
-  opt.drc = false;
-  const PreImplReport report = f.compile(opt).report;
-  EXPECT_TRUE(report.route.success);
-  EXPECT_EQ(report.drc.rules_run(), 0u);  // gates skipped entirely
+TEST(Flows, FinalGateRejectsComposedOutputLeakingX) {
+  // A stream component whose output register reads a BRAM with neither ROM
+  // contents nor a write port. Composition, placement and routing are all
+  // legal; only the dataflow rules of the final gate see uninitialized
+  // state reaching the composed design's out_data.
+  const Device device = make_xcku5p_sim();
+  NetlistBuilder b("leaky");
+  const NetId data = b.in_port("in_data", kDataW);
+  const NetId valid = b.in_port("in_valid", 1);
+  b.out_port("in_ready", b.one());
+  const NetId garbage = b.bram(data, kInvalidNet, kInvalidNet, 16, kDataW, -1, "uninit");
+  b.out_port("out_data", b.ff(garbage, kInvalidNet, kDataW));
+  b.out_port("out_valid", b.ff(valid, kInvalidNet, 1));
+  b.in_port("out_ready", 1);
+  const OocResult leaky = implement_ooc(device, std::move(b).take());
+
+  ComposedDesign out;
+  try {
+    run_preimpl_flow(device, {&leaky.checkpoint}, {"leaky"}, out);
+    FAIL() << "the final gate accepted an X-leaking design";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("preimpl after routing"), std::string::npos) << what;
+    EXPECT_NE(what.find("[x-escape] output port 'out_data'"), std::string::npos) << what;
+  }
 }
 
 struct ResblockFlow {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <vector>
 
 #include "sim/eval.h"
@@ -10,6 +11,11 @@
 
 namespace fpgasim {
 namespace {
+
+// The simulator keeps a reference to its netlist: a temporary must not
+// compile, or `Simulator sim(make_component(...))` would dangle.
+static_assert(std::is_constructible_v<Simulator, const Netlist&>);
+static_assert(!std::is_constructible_v<Simulator, Netlist&&>);
 
 struct Op2Case {
   LutOp op;

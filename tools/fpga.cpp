@@ -1,5 +1,5 @@
 // fpga: one command-line front end over the flows, the simulators and the
-// checkpoint store. Subcommands: lint (dataflow static analysis), simdiff
+// checkpoint store. Subcommands: lint (netlist design rules), simdiff
 // (compiled-vs-interpreter A/B), serve (the inference engine), db (store
 // operations) and run (both flows plus one golden inference); `fpga --help`
 // lists their flags.
@@ -10,7 +10,7 @@
 // `--json` output carries no timing, so it is byte-identical at any
 // FPGASIM_THREADS width.
 //
-// Exit status: 0 = ok, 1 = the check failed (lint errors, a divergence, an
+// Exit status: 0 = ok, 1 = the check failed (DRC errors, a divergence, an
 // oracle failure, a store problem, a golden mismatch or an incomplete
 // stream), 2 = usage error (a bad numeric flag included) or a design that
 // failed to build/load.
@@ -35,7 +35,6 @@
 #include "flow/preimpl.h"
 #include "flow/service.h"
 #include "flow/store.h"
-#include "lint/lint.h"
 #include "netlist/checkpoint.h"
 #include "sim/compiled.h"
 #include "sim/engine/engine.h"
@@ -53,11 +52,12 @@ void usage(std::FILE* to) {
       "usage: fpga <command> [options]\n"
       "\n"
       "fpga lint [options] [checkpoint.fdcp ...]\n"
+      "  runs the netlist-only DRC rules (structural and dataflow stages)\n"
       "  --json           emit a machine-readable JSON report on stdout\n"
       "  --waive RULE     waive a rule id (repeatable); waived findings are\n"
       "                   reported but never fail the run\n"
-      "  --model NAME     lint the composed design of a bundled network\n"
-      "  --rules          print the rule table and exit\n"
+      "  --model NAME     check the composed design of a bundled network\n"
+      "  --rules          print the DRC rule table and exit\n"
       "\n"
       "fpga simdiff [options] [checkpoint.fdcp ...]\n"
       "  --model NAME     check a bundled network's composed design\n"
@@ -80,13 +80,13 @@ void usage(std::FILE* to) {
       "\n"
       "fpga db [--dir DIR] [--json] <stats | verify | gc --keep-reachable MODELS>\n"
       "  stats            store size, kinds, cache counters\n"
-      "  verify           hash + DRC + lint every entry\n"
+      "  verify           re-hash + checkpoint DRC every entry\n"
       "  gc               drop entries no listed (comma-separated) model needs\n"
       "  --dir DIR        store directory (default: $FPGASIM_STORE_DIR)\n"
       "  --json           machine-readable output (deterministic)\n"
       "\n"
       "fpga run --model NAME\n"
-      "  prints the arch-def, runs both flows lint-gated and streams one seeded\n"
+      "  prints the arch-def, runs both DRC-gated flows and streams one seeded\n"
       "  tensor through the composed design against the golden model\n"
       "\n"
       "models: %s\n"
@@ -147,10 +147,9 @@ class Args {
   std::size_t pos_ = static_cast<std::size_t>(-1);
 };
 
-CompileService::SessionResult compile(const Device& device, const ZooModel& m,
-                                      const PreImplOptions& opt = {}) {
+CompileService::SessionResult compile(const Device& device, const ZooModel& m) {
   CheckpointStore store(StoreOptions{});
-  return CompileService(device, store).compile(m.model, m.impl, m.groups, opt);
+  return CompileService(device, store).compile(m.model, m.impl, m.groups);
 }
 
 std::string hex64(std::uint64_t v) {
@@ -164,7 +163,7 @@ std::string hex64(std::uint64_t v) {
 int cmd_lint(Args& args) {
   bool json = false;
   std::string model_name;
-  lint::LintOptions options;
+  DrcOptions options;
   std::vector<std::string> paths;
   while (args.next()) {
     if (args.is("--json")) {
@@ -174,8 +173,8 @@ int cmd_lint(Args& args) {
     } else if (args.is("--model")) {
       model_name = args.text();
     } else if (args.is("--rules")) {
-      for (const lint::RuleInfo& rule : lint::rules()) {
-        std::printf("%-24s %-8s %s\n", rule.id, lint::to_string(rule.severity), rule.what);
+      for (const DrcRuleInfo& rule : drc_rules()) {
+        std::printf("%-24s %-8s %s\n", rule.id, to_string(rule.severity), rule.what);
       }
       return 0;
     } else {
@@ -189,7 +188,8 @@ int cmd_lint(Args& args) {
   int exit_code = 0;
   JsonWriter out;
   if (json) out.begin_array();
-  const auto deliver = [&](const lint::LintReport& report) {
+  const auto check = [&](const DrcContext& ctx) {
+    const DrcReport report = run_drc(ctx, kDrcStructural | kDrcDataflow, options);
     if (json) {
       out.raw(report.to_json());
     } else {
@@ -200,7 +200,8 @@ int cmd_lint(Args& args) {
 
   for (const std::string& path : paths) {
     try {
-      deliver(lint::run(load_checkpoint(path).netlist, options));
+      const Checkpoint checkpoint = load_checkpoint(path);
+      check(DrcContext{.netlist = &checkpoint.netlist});
     } catch (const std::exception& e) {
       // A checkpoint that cannot even be parsed is worse than one with
       // findings; report it in-band so CI sees which file and why.
@@ -215,14 +216,9 @@ int cmd_lint(Args& args) {
   }
 
   if (!model_name.empty()) {
-    const ZooModel m = load_zoo_model(model_name);
-    const ComposedDesign composed = compile(make_xcku5p_sim(), m).design;
-    lint::LintOptions composed_opt = options;
-    for (const ComposedDesign::Instance& inst : composed.instances) {
-      composed_opt.instances.push_back(
-          {inst.name, inst.cell_offset, inst.cell_end, inst.net_offset, inst.net_end});
-    }
-    deliver(lint::run(composed.netlist, composed_opt));
+    const ComposedDesign composed =
+        compile(make_xcku5p_sim(), load_zoo_model(model_name)).design;
+    check(DrcContext{.netlist = &composed.netlist, .instances = composed.drc_instances()});
   }
 
   if (json) {
@@ -467,16 +463,14 @@ int db_verify(CheckpointStore& store, bool json) {
   if (json) out.begin_array();
   for (const auto& entry : store.index_entries()) {
     std::string load_error;
-    std::size_t drc_errors = 0, lint_errors = 0, lint_warnings = 0;
+    std::size_t drc_errors = 0, drc_warnings = 0;
     const bool hash_ok = CheckpointStore::content_hash(entry.key, entry.fabric) == entry.hash;
     if (!hash_ok && exit_code == 0) exit_code = 1;
     try {
-      const Checkpoint checkpoint = load_checkpoint(entry.path);
-      drc_errors = run_checkpoint_drc(checkpoint).errors();
-      const lint::LintReport lint_report = lint::run(checkpoint.netlist);
-      lint_errors = lint_report.errors();
-      lint_warnings = lint_report.warnings();
-      if ((drc_errors > 0 || lint_errors > 0) && exit_code == 0) exit_code = 1;
+      const DrcReport report = run_checkpoint_drc(load_checkpoint(entry.path));
+      drc_errors = report.errors();
+      drc_warnings = report.warnings();
+      if (drc_errors > 0 && exit_code == 0) exit_code = 1;
     } catch (const std::exception& e) {
       load_error = e.what();
       exit_code = 2;
@@ -490,17 +484,16 @@ int db_verify(CheckpointStore& store, bool json) {
         out.key("load_error").value(load_error);
       } else {
         out.key("drc_errors").value(drc_errors);
-        out.key("lint_errors").value(lint_errors);
-        out.key("lint_warnings").value(lint_warnings);
+        out.key("drc_warnings").value(drc_warnings);
       }
       out.end_object();
     } else if (!load_error.empty()) {
       std::fprintf(stderr, "fpga db: %s (%s): load failed: %s\n", entry.key.c_str(),
                    entry.hash.hex().c_str(), load_error.c_str());
     } else {
-      std::printf("%s %s: %s%zu drc error(s), %zu lint error(s), %zu lint warning(s)\n",
-                  entry.hash.hex().c_str(), entry.key.c_str(),
-                  hash_ok ? "" : "HASH MISMATCH, ", drc_errors, lint_errors, lint_warnings);
+      std::printf("%s %s: %s%zu drc error(s), %zu drc warning(s)\n", entry.hash.hex().c_str(),
+                  entry.key.c_str(), hash_ok ? "" : "HASH MISMATCH, ", drc_errors,
+                  drc_warnings);
     }
   }
   if (json) {
@@ -588,27 +581,23 @@ int cmd_run(Args& args) {
   const Device device = make_xcku5p_sim();
   std::printf("%s as an arch-def:\n%s\n", model_name.c_str(), to_arch_def(m.model).c_str());
 
-  // Both flows, each gated on DRC and fpgalint (the gates throw on errors).
-  PreImplOptions popt;
-  popt.lint = true;
-  const CompileService::SessionResult session = compile(device, m, popt);
+  // Both flows, each DRC-gated (the gates throw on errors).
+  const CompileService::SessionResult session = compile(device, m);
   const PreImplReport& pre = session.report;
   const ComposedDesign& accelerator = session.design;
-  MonoOptions mopt;
-  mopt.lint = true;
   Netlist flat = build_flat_netlist(m.model, m.impl, m.groups);
   PhysState flat_phys;
-  const MonoReport mono = run_monolithic_flow(device, flat, flat_phys, mopt);
+  const MonoReport mono = run_monolithic_flow(device, flat, flat_phys);
 
   std::printf("%zu components for %zu groups composed into %zu instances\n",
               session.components, m.groups.size(), accelerator.instances.size());
-  std::printf("lint: pre-implemented %s / monolithic %s\n", pre.lint.summary().c_str(),
-              mono.lint.summary().c_str());
+  std::printf("final gate: pre-implemented %s / monolithic %s\n", pre.drc.summary().c_str(),
+              mono.drc.summary().c_str());
   std::printf("stream edges stitched: %zu; Fmax pre-implemented %.1f MHz vs monolithic "
               "%.1f MHz; stitching %.1f%% of the online flow\n",
               accelerator.macro_nets.size(), pre.timing.fmax_mhz, mono.timing.fmax_mhz,
               pre.stitch_fraction() * 100.0);
-  if (!pre.lint.clean() || !mono.lint.clean()) return 1;
+  if (!pre.drc.clean() || !mono.drc.clean()) return 1;
 
   // One seeded tensor through the composed design on the interpreter,
   // driven by the valid/ready protocol; every output word must match the
